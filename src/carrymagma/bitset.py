@@ -8,6 +8,18 @@ from .errors import SetLiteralError
 
 _TOKEN_RE = re.compile(r"[0-9]+")
 
+# Elements must be below this cap.  A set's integer needs one bit per
+# position up to its largest element, so the cap bounds an input set at
+# 2 MB however its literal is written.  Results of operations may exceed
+# it; only sets built from element values are checked.
+MAX_ELEMENT = 2**24
+_CAP_DIGITS = len(str(MAX_ELEMENT))
+
+
+def _too_large(element: object) -> SetLiteralError:
+    return SetLiteralError(f"element {element} is too large: elements must "
+                           f"be below MAX_ELEMENT = {MAX_ELEMENT}")
+
 
 @dataclass(frozen=True, order=True)
 class FinSet:
@@ -26,11 +38,16 @@ class FinSet:
 
     @classmethod
     def of(cls, *elements: int) -> "FinSet":
-        """Build a set from element values (duplicates collapse)."""
+        """Build a set from element values (duplicates collapse).
+
+        Raises SetLiteralError for an element at or above MAX_ELEMENT.
+        """
         bits = 0
         for n in elements:
             if n < 0:
                 raise ValueError(f"element must be a natural number, got {n}")
+            if n >= MAX_ELEMENT:
+                raise _too_large(n)
             bits |= 1 << n
         return cls(bits)
 
@@ -43,10 +60,21 @@ class FinSet:
 
     def __iter__(self) -> Iterator[int]:
         bits = self.bits
-        while bits:
-            low = bits & -bits
-            yield low.bit_length() - 1
-            bits ^= low
+        if bits.bit_length() <= 64:
+            # peeling the lowest bit is cheapest while the int is a
+            # few machine words
+            while bits:
+                low = bits & -bits
+                yield low.bit_length() - 1
+                bits ^= low
+            return
+        # beyond that each peel would copy the whole int, so scan the
+        # binary digits once instead
+        low_first = bin(bits)[:1:-1]
+        n = low_first.find("1")
+        while n >= 0:
+            yield n
+            n = low_first.find("1", n + 1)
 
     def __len__(self) -> int:
         return self.bits.bit_count()
@@ -80,9 +108,10 @@ def parse(text: str) -> FinSet:
     """Parse a set literal such as ``{3,4,5}`` or ``3,4,5`` (order-free).
 
     Raises SetLiteralError on malformed tokens, duplicates, mismatched
-    braces, or anything that is not a decimal natural number.  Duplicates
-    are rejected rather than collapsed so typos in hand-written input
-    surface instead of silently shrinking the set.
+    braces, anything that is not a decimal natural number, or an element
+    at or above MAX_ELEMENT.  Duplicates are rejected rather than
+    collapsed so typos in hand-written input surface instead of silently
+    shrinking the set.
     """
     body = text.strip()
     if body.startswith("{"):
@@ -100,7 +129,11 @@ def parse(text: str) -> FinSet:
         if not _TOKEN_RE.fullmatch(token):
             raise SetLiteralError(f"invalid element {token!r} in set literal: "
                                   "expected a decimal natural number")
-        n = int(token)
+        # int() refuses strings over 4300 digits, so compare lengths first
+        digits = token.lstrip("0") or "0"
+        n = int(digits) if len(digits) <= _CAP_DIGITS else MAX_ELEMENT
+        if n >= MAX_ELEMENT:
+            raise _too_large(token)
         if (bits >> n) & 1:
             raise SetLiteralError(f"duplicate element {token!r} in set literal")
         bits |= 1 << n

@@ -11,6 +11,7 @@ would fabricate closure that does not exist over the full naturals.
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, islice
+from math import comb
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .bitset import FinSet, format
@@ -19,6 +20,7 @@ from .magma import invert, oplus
 
 MAX_ASSOC_BOUND = 6
 MAX_SUBSET_BOUND = 5
+MAX_SUBSET_CANDIDATES = 2**16
 
 _CHUNK = 4096
 
@@ -200,8 +202,9 @@ def search_closed_subsets(bound: int, max_size: int,
     Enumerates all S with {} in S and |S| <= max_size over the universe
     of subsets of [0, bound), in deterministic order (size, then
     lexicographic on the sorted encodings), and classifies each.  The
-    candidate count grows as 2**(2**bound - 1), so full sweeps are only
-    sensible at the capped bounds.  Worker partitioning merges chunks
+    candidate count, the sum of C(2**bound - 1, k - 1) over sizes k up
+    to max_size, grows as 2**(2**bound - 1) for full sweeps, so it is
+    capped at MAX_SUBSET_CANDIDATES.  Worker partitioning merges chunks
     in order, keeping the report list identical for any worker count.
     """
     if not 0 <= bound <= MAX_SUBSET_BOUND:
@@ -213,6 +216,11 @@ def search_closed_subsets(bound: int, max_size: int,
                          f"{n} sets admits at most {n} members")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    count = sum(comb(n - 1, k - 1) for k in range(1, max_size + 1))
+    if count > MAX_SUBSET_CANDIDATES:
+        raise RangeError(f"{count} candidates > limit "
+                         f"{MAX_SUBSET_CANDIDATES}: lower the bound or "
+                         "max_size")
     op = _op_table(n)
     inv = [invert(FinSet(x)).bits for x in range(n)]
     candidates = _candidates(n, max_size)

@@ -5,12 +5,16 @@ number and performs one round of carry propagation on the sum:
 
     oplus(A, B) = (A sym_diff B) sym_diff ((A intersect B) + 1)
 
-It is commutative, has the empty set as neutral element, and every set
-has an inverse, but it is not associative: ({0} oplus {0}) oplus {1}
-gives {2} while {0} oplus ({0} oplus {1}) gives the empty set.
+It is commutative, has the empty set as neutral element, and every
+equation oplus(A, X) = B has exactly one finite solution, so every set
+has an inverse: the solution for B = {}.  It is not associative:
+({0} oplus {0}) oplus {1} gives {2} while {0} oplus ({0} oplus {1})
+gives the empty set.  One solver serves both solve and invert; it is
+the carry-lookahead (Kogge-Stone parallel-prefix) form of the carry
+recurrence and takes O(log longest run) big-integer steps.
 """
 
-from .bitset import FinSet, intersect, shift_up, sym_diff
+from .bitset import EMPTY, FinSet, intersect, shift_up, sym_diff
 
 
 def oplus(a: FinSet, b: FinSet) -> FinSet:
@@ -26,63 +30,48 @@ def oplus(a: FinSet, b: FinSet) -> FinSet:
 def stretch(a: FinSet, n: int) -> int:
     """Length of the contiguous run of members of ``a`` ending at n.
 
-    Returns 0 when n is not a member; otherwise 1 + the largest k <= n
-    such that n-k .. n all belong to ``a``.  Computed by scanning
-    downward from n, stopping at the first gap or at 0.
+    Returns 0 when n is not a member; otherwise n minus the highest
+    non-member below n (taken as -1 when the run reaches 0).  The mask
+    of positions 0..n is built only once n is known to be a member, so
+    n is below the bit length of ``a`` and a huge n costs nothing.
     """
     if n < 0:
         raise ValueError(f"position must be a natural number, got {n}")
     if n not in a:
         return 0
-    k = 0
-    while k < n and (n - k - 1) in a:
-        k += 1
-    return k + 1
+    return n - (~a.bits & ((1 << (n + 1)) - 1)).bit_length() + 1
 
 
 def invert(a: FinSet) -> FinSet:
-    """A set B with oplus(a, B) = {}, built from stretch parities.
+    """The set B with oplus(a, B) = {}: the solution of a ⊕ X = {}.
 
-    Construction: keep every member whose backward stretch is odd, and
-    additionally include the successor of any such member when the
-    successor is not itself a member.  (Positions y not in ``a`` enter
-    the inverse exactly when y > 0 and stretch(a, y-1) is odd, and a
-    positive stretch at y-1 forces y-1 to be a member, so only member
-    successors need checking.)  The empty set is neutral, hence its own
-    inverse.  For non-empty ``a`` the minimum element always has
-    stretch 1, so min(invert(a)) = min(a).
+    It equals the paper's stretch-parity construction: B keeps every
+    member of ``a`` whose stretch is odd, and also contains the
+    successor of each such member that is not itself a member.  The
+    empty set is neutral, hence its own inverse, and for non-empty
+    ``a`` the minimum has stretch 1, so min(invert(a)) = min(a).
     """
-    bits = 0
-    for x in a:
-        if stretch(a, x) % 2 == 1:
-            bits |= 1 << x
-            if (x + 1) not in a:
-                bits |= 1 << (x + 1)
-    return FinSet(bits)
+    return solve(a, EMPTY)
 
 
 def solve(a: FinSet, b: FinSet) -> FinSet:
-    """The finite X with oplus(a, X) = b, found by a forward bit sweep.
+    """The finite X with oplus(a, X) = b, by carry-lookahead doubling.
 
     Writing a_n, b_n, x_n for membership bits, the result bit at n is
-    b_n = a_n XOR x_n XOR (a_{n-1} AND x_{n-1}), so x_n is forced:
-
-        x_n = b_n XOR a_n XOR (a_{n-1} AND x_{n-1}),  x_{-1} = 0.
-
-    Every bit beyond max(max(a) + 1, max(b)) comes out 0, so the sweep
-    stops there and X is finite.  The determinism of the recurrence is
-    what makes the solution unique.  Raises RuntimeError if the result
-    fails the defining equation, which would indicate a bug here rather
-    than bad input.
+    b_n = a_n XOR x_n XOR (a_{n-1} AND x_{n-1}), so X is the unique
+    solution of the linear recurrence x = d XOR ((a AND x) << 1) with
+    d = a XOR b.  Unrolled, x_n is the XOR over j >= 0 of d_{n-j} times
+    a_{n-1} ... a_{n-j}.  Each doubling step adds the next m terms,
+    where g holds at bit n the AND of a_n .. a_{n+m-1}; g empties once
+    m exceeds the longest run of ``a``.  Raises RuntimeError if the
+    result fails the defining equation, which would indicate a bug here
+    rather than bad input.
     """
-    abits, bbits = a.bits, b.bits
-    x = 0
-    top = max(abits.bit_length() + 1, bbits.bit_length())
-    for n in range(top + 1):
-        an = (abits >> n) & 1
-        bn = (bbits >> n) & 1
-        carry = (abits >> (n - 1)) & (x >> (n - 1)) & 1 if n else 0
-        x |= (bn ^ an ^ carry) << n
+    x, g, m = a.bits ^ b.bits, a.bits, 1
+    while g:
+        x ^= (x & g) << m
+        g &= g >> m
+        m <<= 1
     result = FinSet(x)
     if oplus(a, result) != b:
         raise RuntimeError(

@@ -13,6 +13,7 @@ from carrymagma import (EMPTY, FinSet, approx_add, approx_stats, encode,
                         scan_associativity, search_closed_subsets, shift_up,
                         solve, stretch, sym_diff)
 from carrymagma.explorer import report_as_dict, search_summary
+from oracles import inverse_by_stretch_parity
 
 
 @contextmanager
@@ -54,6 +55,7 @@ def test_criterion_2_inverse_construction_exhaustive():
         for bits in range(1 << 12):
             a = FinSet(bits)
             inverse = invert(a)
+            assert inverse.bits == inverse_by_stretch_parity(bits)
             assert oplus(a, inverse) == EMPTY
             if bits:
                 assert inverse.min_element == a.min_element

@@ -4,6 +4,7 @@ import pytest
 
 from carrymagma import (EMPTY, FinSet, SetLiteralError, decode, encode,
                         format, intersect, parse, shift_up, sym_diff)
+from carrymagma.bitset import MAX_ELEMENT
 
 
 def members(universe: int, bits: int) -> set[int]:
@@ -47,6 +48,20 @@ class TestParse:
         with pytest.raises(SetLiteralError):
             parse(text)
 
+    def test_element_cap(self):
+        assert MAX_ELEMENT == 2**24
+        assert parse(f"{{0,{2**24 - 1}}}") == FinSet.of(0, 2**24 - 1)
+        assert parse("{0016777215}").max_element == 2**24 - 1
+        for text in ("{16777216}", "{1,0016777216}", "{99999999999}"):
+            with pytest.raises(SetLiteralError) as excinfo:
+                parse(text)
+            assert text.strip("{}").split(",")[-1] in str(excinfo.value)
+            assert str(MAX_ELEMENT) in str(excinfo.value)
+
+    def test_element_beyond_int_digit_limit(self):
+        with pytest.raises(SetLiteralError, match="too large"):
+            parse("{" + "9" * 5000 + "}")
+
 
 class TestFormat:
     def test_empty(self):
@@ -86,6 +101,11 @@ class TestFinSet:
             FinSet.of(-1)
         with pytest.raises(ValueError):
             FinSet(-5)
+
+    def test_element_cap(self):
+        assert FinSet.of(2**24 - 1).max_element == 2**24 - 1
+        with pytest.raises(SetLiteralError, match="16777216"):
+            FinSet.of(2**24)
 
     def test_ordering_follows_encoding(self):
         assert sorted([FinSet.of(2), EMPTY, FinSet.of(0, 1)]) == [

@@ -1,6 +1,7 @@
 """The command-line surface: dispatch, output formats, exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -34,6 +35,16 @@ class TestSetVerbs:
     def test_stretch(self, capsys):
         code, out, _ = invoke(capsys, "stretch", "{3,4,5,10,12}", "5")
         assert (code, out) == (0, "3\n")
+
+    def test_large_inputs_finish_at_once(self, capsys):
+        code, out, _ = invoke(capsys, "stretch", "{1}", "99999999999")
+        assert (code, out) == (0, "0\n")
+        run = "{" + ",".join(map(str, range(100_000))) + "}"
+        start = time.perf_counter()
+        code, out, _ = invoke(capsys, "invert", run)
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        assert out == "{" + ",".join(map(str, range(0, 100_000, 2))) + "}\n"
 
     def test_encode_decode(self, capsys):
         code, out, _ = invoke(capsys, "encode", "{0,2}")
@@ -141,6 +152,18 @@ class TestExitCodes:
         code, out, _ = invoke(capsys, *argv)
         assert code == 1
         assert out == ""
+
+    def test_element_cap_is_usage_error(self, capsys):
+        code, out, err = invoke(capsys, "oplus", "{16777216}", "{}")
+        assert (code, out) == (2, "")
+        assert "16777216" in err
+
+    def test_candidate_cap_exits_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "search-subgroups", "--bound", "5")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert "2147483648 candidates > limit 65536" in err
 
     def test_success_stream_clean_on_success(self, capsys):
         code, out, err = invoke(capsys, "oplus", "{1,2}", "{2,3}")

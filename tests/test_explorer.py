@@ -7,8 +7,8 @@ import pytest
 from carrymagma import (EMPTY, FinSet, RangeError, assoc_witness, invert,
                         oplus, orbit, scan_associativity,
                         search_closed_subsets)
-from carrymagma.explorer import (report_as_dict, search_summary,
-                                 witness_as_dict)
+from carrymagma.explorer import (MAX_SUBSET_CANDIDATES, report_as_dict,
+                                 search_summary, witness_as_dict)
 
 
 class TestAssocWitness:
@@ -177,6 +177,16 @@ class TestSearchClosedSubsets:
     def test_out_of_range(self, bound, max_size):
         with pytest.raises(RangeError):
             search_closed_subsets(bound, max_size)
+
+    def test_candidate_cap(self):
+        assert MAX_SUBSET_CANDIDATES == 2**16
+        with pytest.raises(RangeError,
+                           match="2147483648 candidates > limit 65536"):
+            search_closed_subsets(5, 32)
+        # the cap is on the count, not the bound: 1 + 31 + C(31, 2) fit
+        assert len(search_closed_subsets(5, 3)) == 497
+        with pytest.raises(RangeError, match="206368 candidates"):
+            search_closed_subsets(5, 6)
 
 
 class TestOrbit:

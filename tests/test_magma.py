@@ -4,6 +4,7 @@ import pytest
 
 from carrymagma import (EMPTY, FinSet, intersect, invert, oplus, parse,
                         shift_up, solve, stretch, sym_diff)
+from oracles import solve_by_sweep, stretch_by_steps
 
 FIGURE_SET = FinSet.of(3, 4, 5, 10, 12)
 FIGURE_INVERSE = FinSet.of(3, 5, 6, 10, 11, 12, 13)
@@ -77,6 +78,17 @@ class TestStretch:
         with pytest.raises(ValueError):
             stretch(FinSet.of(0), -1)
 
+    def test_matches_stepping_oracle_exhaustive(self):
+        for bits in range(1 << 10):
+            a = FinSet(bits)
+            for n in range(12):
+                assert stretch(a, n) == stretch_by_steps(bits, n)
+
+    def test_huge_position(self):
+        assert stretch(FinSet.of(1), 99_999_999_999) == 0
+        run = FinSet((1 << 10**6) - 1)
+        assert stretch(run, 10**6 - 1) == 10**6
+
 
 class TestInvert:
     @pytest.mark.parametrize("a, expected", [
@@ -111,6 +123,11 @@ class TestInvert:
             a = FinSet(bits)
             assert invert(a).min_element == a.min_element
 
+    def test_million_bit_run(self):
+        # members 0..10**6-1 each have stretch n+1: the evens survive
+        evens = ((1 << 10**6) - 1) // 3
+        assert invert(FinSet((1 << 10**6) - 1)) == FinSet(evens)
+
 
 class TestSolve:
     def test_neutral_left_operand(self):
@@ -129,6 +146,12 @@ class TestSolve:
                      if oplus(a, FinSet(x)) == b]
         assert scan_hits == [parse("{0,1,2}")]
         assert solve(a, b) == scan_hits[0]
+
+    def test_matches_bit_sweep_exhaustive(self):
+        for a_bits in range(1 << 8):
+            for b_bits in range(1 << 8):
+                assert solve(FinSet(a_bits), FinSet(b_bits)).bits == \
+                    solve_by_sweep(a_bits, b_bits)
 
     def test_round_trips_exhaustive(self):
         for a_bits in range(1 << 8):

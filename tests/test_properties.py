@@ -7,6 +7,8 @@ from carrymagma import (EMPTY, FinSet, approx_add, encode, exactness, format,
                         invert, iterated_add, knuth_sum, oplus, parse,
                         shift_up, solve, stretch)
 
+import oracles
+
 finsets = st.builds(
     FinSet.from_iterable,
     st.frozensets(st.integers(min_value=0, max_value=120), max_size=40))
@@ -87,3 +89,52 @@ def test_iterated_add_on_wide_words(a, b):
 @given(words, words)
 def test_exactness_matches_definition(a, b):
     assert exactness(a, b) == (approx_add(a, b) == a + b)
+
+
+BIG = 10_000
+
+
+@st.composite
+def big_sets(draw):
+    """Sets below 10k bits: random bytes overlaid with long runs and gaps."""
+    bits = int.from_bytes(draw(st.binary(max_size=BIG // 8)), "little")
+    overlays = draw(st.lists(st.tuples(st.integers(0, BIG - 1),
+                                       st.integers(1, BIG), st.booleans()),
+                             max_size=4))
+    for start, length, fill in overlays:
+        run = ((1 << length) - 1) << start
+        bits = bits | run if fill else bits & ~run
+    return FinSet(bits & ((1 << BIG) - 1))
+
+
+big = settings(deadline=None)
+
+
+@big
+@given(big_sets(), big_sets())
+def test_solve_matches_bit_sweep_on_big_sets(a, b):
+    assert solve(a, b).bits == oracles.solve_by_sweep(a.bits, b.bits)
+
+
+@big
+@given(big_sets())
+def test_invert_matches_stretch_parity_construction_on_big_sets(a):
+    assert invert(a).bits == oracles.inverse_by_stretch_parity(a.bits)
+
+
+@big
+@given(big_sets(), st.lists(st.integers(0, BIG + 50), max_size=8))
+def test_stretch_matches_oracles_on_big_sets(a, ns):
+    if a:
+        ns = ns + [a.min_element, a.max_element]
+    for n in ns:
+        expected = oracles.stretch_by_steps(a.bits, n)
+        assert oracles.stretch_by_gap(a.bits, n) == expected
+        assert stretch(a, n) == expected
+
+
+@big
+@given(big_sets())
+def test_iteration_and_format_round_trip_on_big_sets(a):
+    assert list(a) == oracles.positions(a.bits)
+    assert parse(format(a)) == a
