@@ -8,7 +8,7 @@ addition into the commutative, non-associative operation
 
 with the empty set as neutral element and an explicit inverse for every
 set.  The package exposes that algebra, the word-level view on plain
-integers, and exhaustive desk-scale structure probes.
+integers, and desk-scale structure probes.
 """
 
 from .adder import (AddResult, WordStats, approx_add, approx_stats, exactness,

@@ -9,8 +9,6 @@ sit at the set's elements, and one carry round on sets is exactly
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import RangeError
 
 MAX_STATS_WIDTH = 12
@@ -79,37 +77,39 @@ class WordStats:
 
 
 def approx_stats(width: int) -> WordStats:
-    """Exhaustive approx_add statistics over all (a, b) in [0, 2**width)^2.
+    """Exact approx_add statistics over all (a, b) in [0, 2**width)^2.
 
-    Enumerates the full grid (vectorized in row blocks; the merge is a
-    plain sum/max of per-block counters, so the result is identical to
-    the sequential scan).  ``iterations_max`` is the largest number of
-    carry rounds ``iterated_add`` needs on any pair.  Capped at width 12
-    to keep the 2**(2*width) enumeration desk-scale.
+    approx_add(a, b) falls short of a + b by 2 * (s AND c), where
+    s = a XOR b and c = (a AND b) << 1: a collision at bit i, where the
+    operands differ and both hold a 1 at bit i - 1, loses 2 << i.  So
+    one pass over the bit positions counts the pairs, with the state
+    g = "both operands hold a 1 at the position below": ``exact_pairs``
+    counts the pairs without a collision, and ``max_abs_error`` is the
+    largest collision loss over all pairs reaching each state.
+
+    ``iterations_max``, the most carry rounds ``iterated_add`` needs on
+    any pair, is ``width`` itself.  A carry chain starts at a generate
+    position j >= 0 (both operands 1) and moves up one position per
+    round through the propagate positions (operands differ) above it.
+    Those lie below ``width``, so the chain crosses at most
+    width - 1 - j of them and one more round lands it: at most
+    ``width`` rounds.  The pair (2**width - 1, 1) needs exactly
+    ``width``.  The width is capped at 12.
     """
     if not 0 <= width <= MAX_STATS_WIDTH:
-        raise RangeError(
-            f"width {width} out of range: exhaustive statistics are capped at "
-            f"width {MAX_STATS_WIDTH} (2**{2 * MAX_STATS_WIDTH} pairs); larger "
-            "widths would need a sampling mode, which this tool does not offer")
-    n = 1 << width
-    cols = np.arange(n, dtype=np.int64)
-    exact = 0
-    max_err = 0
-    iters_max = 0
-    block = max(1, (1 << 18) // n)
-    for start in range(0, n, block):
-        rows = cols[start:start + block, np.newaxis]
-        s = rows ^ cols
-        c = (rows & cols) << 1
-        approx = s ^ c
-        true_sum = rows + cols
-        exact += int((approx == true_sum).sum())
-        max_err = max(max_err, int(np.abs(approx - true_sum).max()))
-        rounds = np.zeros(s.shape, dtype=np.int64)
-        while c.any():
-            rounds += c != 0
-            s, c = s ^ c, (s & c) << 1
-        iters_max = max(iters_max, int(rounds.max()))
-    return WordStats(width=width, total_pairs=n * n, exact_pairs=exact,
-                     max_abs_error=max_err, iterations_max=iters_max)
+        raise RangeError(f"width {width} out of range: statistics are capped "
+                         f"at width {MAX_STATS_WIDTH}")
+    if width == 0:
+        return WordStats(0, 1, 1, 0, 0)
+    # exact[g] counts the collision-free pairs in state g and worst[g]
+    # is the largest loss among all pairs in state g.  After bit 0,
+    # whose pairs (0, 0), (0, 1) and (1, 0) give g = 0 and (1, 1) gives
+    # g = 1, nothing has collided yet.
+    exact, worst = (3, 1), (0, 0)
+    for i in range(1, width):
+        # a differing pair after g = 1 collides and loses 2 << i
+        exact = (3 * exact[0] + exact[1], exact[0] + exact[1])
+        worst = (max(worst[0], worst[1] + (2 << i)), max(worst))
+    return WordStats(width=width, total_pairs=1 << (2 * width),
+                     exact_pairs=sum(exact), max_abs_error=max(worst),
+                     iterations_max=width)

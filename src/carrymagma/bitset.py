@@ -1,12 +1,9 @@
 """Finite subsets of the naturals stored as unbounded-int bit masks."""
 
-import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 from .errors import SetLiteralError
-
-_TOKEN_RE = re.compile(r"[0-9]+")
 
 # Elements must be below this cap.  A set's integer needs one bit per
 # position up to its largest element, so the cap bounds an input set at
@@ -19,6 +16,15 @@ _CAP_DIGITS = len(str(MAX_ELEMENT))
 def _too_large(element: object) -> SetLiteralError:
     return SetLiteralError(f"element {element} is too large: elements must "
                            f"be below MAX_ELEMENT = {MAX_ELEMENT}")
+
+
+def _mask(elements: Collection[int]) -> int:
+    """The int with bit n set for each n, in one pass over a byte buffer,
+    so the cost is linear in the elements and the largest one."""
+    buf = bytearray(max(elements, default=-1) // 8 + 1)
+    for n in elements:
+        buf[n >> 3] |= 1 << (n & 7)
+    return int.from_bytes(buf, "little")
 
 
 @dataclass(frozen=True, order=True)
@@ -42,14 +48,12 @@ class FinSet:
 
         Raises SetLiteralError for an element at or above MAX_ELEMENT.
         """
-        bits = 0
         for n in elements:
             if n < 0:
                 raise ValueError(f"element must be a natural number, got {n}")
             if n >= MAX_ELEMENT:
                 raise _too_large(n)
-            bits |= 1 << n
-        return cls(bits)
+        return cls(_mask(elements))
 
     @classmethod
     def from_iterable(cls, elements: Iterable[int]) -> "FinSet":
@@ -123,10 +127,10 @@ def parse(text: str) -> FinSet:
     body = body.strip()
     if not body:
         return EMPTY
-    bits = 0
+    seen = set()
     for token in body.split(","):
         token = token.strip()
-        if not _TOKEN_RE.fullmatch(token):
+        if not (token.isascii() and token.isdigit()):
             raise SetLiteralError(f"invalid element {token!r} in set literal: "
                                   "expected a decimal natural number")
         # int() refuses strings over 4300 digits, so compare lengths first
@@ -134,10 +138,10 @@ def parse(text: str) -> FinSet:
         n = int(digits) if len(digits) <= _CAP_DIGITS else MAX_ELEMENT
         if n >= MAX_ELEMENT:
             raise _too_large(token)
-        if (bits >> n) & 1:
+        if n in seen:
             raise SetLiteralError(f"duplicate element {token!r} in set literal")
-        bits |= 1 << n
-    return FinSet(bits)
+        seen.add(n)
+    return FinSet(_mask(seen))
 
 
 def format(a: FinSet) -> str:

@@ -6,4 +6,4 @@ class SetLiteralError(ValueError):
 
 
 class RangeError(ValueError):
-    """An exhaustive-enumeration parameter exceeds its desk-scale cap."""
+    """A probe parameter exceeds its desk-scale cap."""

@@ -1,6 +1,6 @@
 """Desk-scale probes of the magma's structure.
 
-Exhaustive associativity scans over a truncated universe of sets, a
+Exact associativity counts over a truncated universe of sets, a
 search for closed substructures behaving like subgroups, and self-oplus
 orbits.  Universes are the power sets of [0, bound); operation results
 may leave the universe, and candidates whose closure does so are
@@ -8,11 +8,10 @@ classified as escaping rather than silently truncated, since truncation
 would fabricate closure that does not exist over the full naturals.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations, product, starmap
 from math import comb
-from typing import Iterable, Iterator, NamedTuple, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .bitset import FinSet, format
 from .errors import RangeError
@@ -21,8 +20,6 @@ from .magma import invert, oplus
 MAX_ASSOC_BOUND = 6
 MAX_SUBSET_BOUND = 5
 MAX_SUBSET_CANDIDATES = 2**16
-
-_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -90,55 +87,62 @@ def _op_table(size: int) -> list[list[int]]:
             for x in range(size)]
 
 
-def _scan_rows(rows: range, n: int, op: list[list[int]]):
-    failing = 0
-    first = None
-    for a in rows:
-        row_a = op[a]
-        for b in range(n):
-            row_ab = op[row_a[b]]
-            row_b = op[b]
-            for c in range(n):
-                if row_ab[c] != row_a[row_b[c]]:
-                    failing += 1
-                    if first is None:
-                        first = (a, b, c)
-    return failing, first
+def _column(window: int, k: int) -> FinSet:
+    """Operand k's bits i-2, i-1 and i, read off a triple window."""
+    return FinSet(sum((window >> (3 * j + k) & 1) << j for j in range(3)))
 
 
-def scan_associativity(bound: int, workers: int = 1) -> AssocScan:
+def _agrees(window: int) -> bool:
+    """Whether both association orders agree at bit i of a triple window.
+
+    The window holds one 3-bit group per position i-2, i-1 and i, from
+    low to high, each with the bits of a, b and c in that order.  Bit i
+    of either order reads only those positions; it lands at bit 2 of
+    the results on the operands' 3-bit columns.
+    """
+    a, b, c = (_column(window, k) for k in range(3))
+    return (oplus(oplus(a, b), c).bits ^ oplus(a, oplus(b, c)).bits) & 4 == 0
+
+
+def scan_associativity(bound: int) -> AssocScan:
     """Test every triple of subsets of [0, bound) for associativity.
 
     Returns total and failing triple counts plus the first failing
-    triple in lexicographic encoding order.  Triples are evaluated with
-    the full operation, so intermediate results beyond the universe
-    bound are handled exactly.  Worker counts only partition the scan
-    range; the merged result is identical for any count.
+    triple in lexicographic encoding order.  Bit i of (a⊕b)⊕c and of
+    a⊕(b⊕c) depends only on the operands' bits i, i-1 and i-2, so one
+    pass over positions 0 .. bound counts the triples agreeing
+    everywhere, with each operand's two bits below i as the state (64
+    states).  Neither order sets a bit above bound: there every operand
+    is 0 at i and i-1, so bit i of either order is 0.  A triple holding
+    {} is associative, {} being neutral, so the first witness is the
+    first hit among triples of non-empty sets.
     """
     if not 0 <= bound <= MAX_ASSOC_BOUND:
         raise RangeError(f"bound {bound} out of range: associativity scans are "
                          f"capped at bound {MAX_ASSOC_BOUND} "
                          f"(2**{3 * MAX_ASSOC_BOUND} triples)")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
     n = 1 << bound
-    # Intermediates of universe pairs stay below 2**(bound+1); a square
-    # table that size lets both association orders run on lookups alone.
-    op = _op_table(1 << (bound + 1))
-    if workers == 1:
-        results = [_scan_rows(range(n), n, op)]
-    else:
-        step = max(1, -(-n // (4 * workers)))
-        chunks = [range(s, min(s + step, n)) for s in range(0, n, step)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda ch: _scan_rows(ch, n, op), chunks))
-    failing = sum(r[0] for r in results)
-    first = next((r[1] for r in results if r[1] is not None), None)
+    agrees = [_agrees(window) for window in range(1 << 9)]
+    # counts[state]: triples agreeing so far whose bits at i-2 and i-1
+    # are the low and high 3-bit groups of state
+    counts = [1] + [0] * 63
+    for i in range(bound + 1):
+        step = [0] * 64
+        for state, count in enumerate(counts):
+            # operands have no bit at bound itself
+            for bits in range(8 if i < bound else 1):
+                window = state | bits << 6
+                if agrees[window]:
+                    step[window >> 3] += count
+        counts = step
+    total = n ** 3
+    failing = total - sum(counts)
     witness = None
-    if first is not None:
-        witness = assoc_witness(FinSet(first[0]), FinSet(first[1]),
-                                FinSet(first[2]))
-    return AssocScan(n ** 3, failing, witness)
+    if failing:
+        triples = product(map(FinSet, range(1, n)), repeat=3)
+        witness = next(w for w in starmap(assoc_witness, triples)
+                       if w is not None)
+    return AssocScan(total, failing, witness)
 
 
 def _classify(members: tuple[int, ...], n: int, op: list[list[int]],
@@ -189,14 +193,7 @@ def _candidates(n: int, max_size: int) -> Iterator[tuple[int, ...]]:
             yield (0,) + combo
 
 
-def _chunked(items: Iterable, size: int) -> Iterator[list]:
-    iterator = iter(items)
-    while chunk := list(islice(iterator, size)):
-        yield chunk
-
-
-def search_closed_subsets(bound: int, max_size: int,
-                          workers: int = 1) -> list[SubsetReport]:
+def search_closed_subsets(bound: int, max_size: int) -> list[SubsetReport]:
     """Classify every subset of the universe that contains {}.
 
     Enumerates all S with {} in S and |S| <= max_size over the universe
@@ -204,8 +201,7 @@ def search_closed_subsets(bound: int, max_size: int,
     lexicographic on the sorted encodings), and classifies each.  The
     candidate count, the sum of C(2**bound - 1, k - 1) over sizes k up
     to max_size, grows as 2**(2**bound - 1) for full sweeps, so it is
-    capped at MAX_SUBSET_CANDIDATES.  Worker partitioning merges chunks
-    in order, keeping the report list identical for any worker count.
+    capped at MAX_SUBSET_CANDIDATES.
     """
     if not 0 <= bound <= MAX_SUBSET_BOUND:
         raise RangeError(f"bound {bound} out of range: the subset search is "
@@ -214,8 +210,6 @@ def search_closed_subsets(bound: int, max_size: int,
     if not 0 <= max_size <= n:
         raise RangeError(f"max_size {max_size} out of range: a universe of "
                          f"{n} sets admits at most {n} members")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
     count = sum(comb(n - 1, k - 1) for k in range(1, max_size + 1))
     if count > MAX_SUBSET_CANDIDATES:
         raise RangeError(f"{count} candidates > limit "
@@ -223,18 +217,7 @@ def search_closed_subsets(bound: int, max_size: int,
                          "max_size")
     op = _op_table(n)
     inv = [invert(FinSet(x)).bits for x in range(n)]
-    candidates = _candidates(n, max_size)
-    if workers == 1:
-        return [_classify(m, n, op, inv) for m in candidates]
-
-    def classify_chunk(chunk: list[tuple[int, ...]]) -> list[SubsetReport]:
-        return [_classify(m, n, op, inv) for m in chunk]
-
-    reports: list[SubsetReport] = []
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(classify_chunk, _chunked(candidates, _CHUNK)):
-            reports.extend(part)
-    return reports
+    return [_classify(m, n, op, inv) for m in _candidates(n, max_size)]
 
 
 def orbit(a: FinSet, k: int) -> list[FinSet]:

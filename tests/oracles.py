@@ -2,9 +2,9 @@
 
 These are the straightforward forms of the library's operations, kept
 as oracles: the paper's stretch-parity inverse construction, the
-one-bit-per-step solver sweep, and two readings of stretch.  Nothing
-here imports carrymagma, so a test never checks an operation against
-itself.
+one-bit-per-step solver sweep, two readings of stretch, and the
+triple-by-triple associativity scan.  Nothing here imports carrymagma,
+so a test never checks an operation against itself.
 """
 
 
@@ -61,3 +61,34 @@ def solve_by_sweep(a: int, b: int) -> int:
         carry = (a >> (n - 1)) & (x >> (n - 1)) & 1 if n else 0
         x |= (bn ^ an ^ carry) << n
     return x
+
+
+def oplus(a: int, b: int) -> int:
+    """One carry round on encodings: (a XOR b) XOR ((a AND b) << 1)."""
+    return (a ^ b) ^ ((a & b) << 1)
+
+
+def scan_by_triples(bound: int) -> tuple[int, int, tuple | None]:
+    """Total triples, failing triples and the first failing triple (in
+    lexicographic order) over all subsets of [0, bound), each triple
+    checked in both association orders on a lookup table.
+
+    Intermediates of universe pairs stay below 2**(bound+1), so a
+    square table that size covers every lookup.
+    """
+    n = 1 << bound
+    size = 1 << (bound + 1)
+    op = [[oplus(x, y) for y in range(size)] for x in range(size)]
+    failing = 0
+    first = None
+    for a in range(n):
+        row_a = op[a]
+        for b in range(n):
+            row_ab = op[row_a[b]]
+            row_b = op[b]
+            for c in range(n):
+                if row_ab[c] != row_a[row_b[c]]:
+                    failing += 1
+                    if first is None:
+                        first = (a, b, c)
+    return n ** 3, failing, first

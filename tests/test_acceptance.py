@@ -133,9 +133,6 @@ def test_criterion_8_explorer_theorems():
 
         base_bytes = render(baseline)
         assert render(search_closed_subsets(4, 16)) == base_bytes
-        for workers in (2, 3):
-            assert render(search_closed_subsets(4, 16,
-                                                workers=workers)) == base_bytes
 
         for bound in range(6):
             reports = search_closed_subsets(bound, min(2, 1 << bound))

@@ -7,7 +7,7 @@ from carrymagma import (RangeError, WordStats, approx_add, approx_stats,
 
 
 def stats_oracle(width: int) -> WordStats:
-    """Definitional per-pair enumeration, independent of the vectorized path."""
+    """Definitional per-pair enumeration, independent of the per-bit pass."""
     n = 1 << width
     total = exact = max_err = iters_max = 0
     for a in range(n):
@@ -108,9 +108,18 @@ class TestApproxStats:
                     if approx_add(a, b) != a + b}
         assert failures == {(1, 3), (3, 1)}
 
-    @pytest.mark.parametrize("width", range(7))
+    @pytest.mark.parametrize("width", range(9))
     def test_matches_definitional_oracle(self, width):
         assert approx_stats(width) == stats_oracle(width)
+
+    def test_width_twelve_pinned(self):
+        # the figures the earlier full-grid enumeration gave
+        assert approx_stats(12) == WordStats(12, 16777216, 3028544, 5460, 12)
+
+    @pytest.mark.parametrize("width", range(1, 13))
+    def test_iterations_max_reached(self, width):
+        assert iterated_add((1 << width) - 1, 1).rounds == width
+        assert approx_stats(width).iterations_max == width
 
     @pytest.mark.parametrize("width", range(7))
     def test_round_bound_invariant(self, width):

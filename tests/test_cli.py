@@ -1,10 +1,15 @@
 """The command-line surface: dispatch, output formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import carrymagma
 from carrymagma.cli import run
 
 
@@ -170,3 +175,15 @@ class TestExitCodes:
         assert code == 0
         assert err == ""
         assert out.count("\n") == 1
+
+
+def test_cli_import_stays_light():
+    # a fresh interpreter, so nothing imported by other tests counts
+    src = str(Path(carrymagma.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    subprocess.run(
+        [sys.executable, "-c",
+         "import carrymagma.cli, sys; assert 'numpy' not in sys.modules"],
+        env=env, check=True)

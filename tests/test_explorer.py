@@ -10,6 +10,8 @@ from carrymagma import (EMPTY, FinSet, RangeError, assoc_witness, invert,
 from carrymagma.explorer import (MAX_SUBSET_CANDIDATES, report_as_dict,
                                  search_summary, witness_as_dict)
 
+import oracles
+
 
 class TestAssocWitness:
     def test_core_failing_triple(self):
@@ -44,6 +46,8 @@ class TestScanAssociativity:
         (2, 64, 12),
         (3, 512, 168),
         (4, 4096, 1824),
+        (5, 32768, 17760),
+        (6, 262144, 163008),
     ])
     def test_counts(self, bound, total, failing):
         scan = scan_associativity(bound)
@@ -76,10 +80,14 @@ class TestScanAssociativity:
                     assert assoc_witness(FinSet(a), FinSet(b),
                                          FinSet(c)) is None
 
-    def test_worker_counts_agree(self):
-        baseline = scan_associativity(4)
-        for workers in (2, 3, 8):
-            assert scan_associativity(4, workers=workers) == baseline
+    @pytest.mark.parametrize("bound", range(7))
+    def test_matches_triple_enumeration(self, bound):
+        scan = scan_associativity(bound)
+        total, failing, first = oracles.scan_by_triples(bound)
+        assert (scan.total_triples, scan.failing_triples) == (total, failing)
+        w = scan.first_witness
+        assert (None if w is None else (w.a.bits, w.b.bits, w.c.bits)) \
+            == first
 
     @pytest.mark.parametrize("bound", [7, -1])
     def test_out_of_range_bound(self, bound):
@@ -154,15 +162,6 @@ class TestSearchClosedSubsets:
                 for r in reports]
         assert keys == sorted(keys)
         assert len(reports) == 1 + 7  # singleton plus the 7 pairs with {}
-
-    def test_worker_counts_agree_bytewise(self):
-        baseline = search_closed_subsets(4, 3)
-        base_lines = "\n".join(json.dumps(report_as_dict(r))
-                               for r in baseline)
-        for workers in (2, 5):
-            again = search_closed_subsets(4, 3, workers=workers)
-            lines = "\n".join(json.dumps(report_as_dict(r)) for r in again)
-            assert lines == base_lines
 
     def test_summary_counts(self):
         reports = search_closed_subsets(3, 8)

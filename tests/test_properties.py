@@ -1,11 +1,12 @@
 """Randomized laws on sets too large for the exhaustive windows."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carrymagma import (EMPTY, FinSet, approx_add, encode, exactness, format,
-                        invert, iterated_add, knuth_sum, oplus, parse,
-                        shift_up, solve, stretch)
+from carrymagma import (EMPTY, FinSet, SetLiteralError, approx_add, encode,
+                        exactness, format, invert, iterated_add, knuth_sum,
+                        oplus, parse, shift_up, solve, stretch)
 
 import oracles
 
@@ -138,3 +139,25 @@ def test_stretch_matches_oracles_on_big_sets(a, ns):
 def test_iteration_and_format_round_trip_on_big_sets(a):
     assert list(a) == oracles.positions(a.bits)
     assert parse(format(a)) == a
+
+
+@big
+@given(big_sets(), st.randoms(use_true_random=False))
+def test_parse_format_round_trip_on_big_sets(a, rng):
+    assert parse(format(a)) == a
+    elements = list(a)
+    rng.shuffle(elements)
+    assert parse(",".join(map(str, elements))) == a
+    assert FinSet.of(*elements) == a
+
+
+@big
+@given(big_sets().filter(bool), st.randoms(use_true_random=False))
+def test_parse_rejects_one_repeat_in_shuffled_big_literal(a, rng):
+    tokens = [str(n) for n in a]
+    repeated = rng.choice(tokens)
+    tokens.append(repeated)
+    rng.shuffle(tokens)
+    with pytest.raises(SetLiteralError,
+                       match=f"duplicate element '{repeated}'"):
+        parse(",".join(tokens))
