@@ -9,6 +9,7 @@ would fabricate closure that does not exist over the full naturals.
 """
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, product, starmap
 from math import comb
 from typing import Iterator, NamedTuple, Optional, Union
@@ -20,6 +21,7 @@ from .magma import invert, oplus
 MAX_ASSOC_BOUND = 6
 MAX_SUBSET_BOUND = 5
 MAX_SUBSET_CANDIDATES = 2**16
+MAX_ORBIT_ITERATIONS = 2**16
 
 
 @dataclass(frozen=True)
@@ -81,17 +83,12 @@ def assoc_witness(a: FinSet, b: FinSet, c: FinSet) -> Optional[Witness]:
     return Witness(a, b, c, left, right)
 
 
-def _op_table(size: int) -> list[list[int]]:
-    """size x size table of oplus on encodings, built from the real op."""
-    return [[oplus(FinSet(x), FinSet(y)).bits for y in range(size)]
-            for x in range(size)]
-
-
 def _column(window: int, k: int) -> FinSet:
     """Operand k's bits i-2, i-1 and i, read off a triple window."""
     return FinSet(sum((window >> (3 * j + k) & 1) << j for j in range(3)))
 
 
+@cache
 def _agrees(window: int) -> bool:
     """Whether both association orders agree at bit i of a triple window.
 
@@ -145,42 +142,52 @@ def scan_associativity(bound: int) -> AssocScan:
     return AssocScan(total, failing, witness)
 
 
-def _classify(members: tuple[int, ...], n: int, op: list[list[int]],
-              inv: list[int]) -> SubsetReport:
+def _classify(members: tuple[int, ...], n: int, universe: list[FinSet],
+              op: list[list[int]], inv: list[int], escapes: list[int],
+              blames: dict[tuple[int, ...], ClosureFailure]) -> SubsetReport:
     """Classify one candidate, scanning pairs in encoding order.
 
     Escape wins over every in-universe failure, then oplus closure,
     then inverse closure, then associativity; the first offending pair
-    or triple in scan order becomes the witness.
+    or triple in scan order becomes the witness.  Members, operands and
+    results are the shared universe FinSets, and each ClosureFailure is
+    built once per search and kept in blames.
     """
-    fins = tuple(FinSet(m) for m in members)
-    member_set = set(members)
+    fins = tuple(map(universe.__getitem__, members))
+    mask = sum(1 << x for x in members)
 
     def failure(status, operation, operands, result):
-        blame = ClosureFailure(operation, tuple(FinSet(m) for m in operands),
-                               FinSet(result))
+        blame = blames.get(operands)
+        if blame is None:
+            blame = blames[operands] = ClosureFailure(
+                operation, tuple(map(universe.__getitem__, operands)),
+                universe[result])
         return SubsetReport(fins, status, blame)
 
-    for i, x in enumerate(members):
-        for y in members[i:]:
-            if op[x][y] >= n:
-                return failure("escaping", "oplus", (x, y), op[x][y])
+    for x in members:
+        # members y with x ⊕ y outside the universe; a y below x would
+        # have escaped with x when y was scanned, ⊕ being commutative
+        hit = escapes[x] & mask
+        if hit:
+            y = (hit & -hit).bit_length() - 1
+            return failure("escaping", "oplus", (x, y), op[x][y])
     for x in members:
         if inv[x] >= n:
             return failure("escaping", "invert", (x,), inv[x])
     for i, x in enumerate(members):
         for y in members[i:]:
-            if op[x][y] not in member_set:
+            if not mask >> op[x][y] & 1:
                 return failure("not_closed", "oplus", (x, y), op[x][y])
     for x in members:
-        if inv[x] not in member_set:
+        if not mask >> inv[x] & 1:
             return failure("not_inverse_closed", "invert", (x,), inv[x])
     for x in members:
         for y in members:
             xy = op[x][y]
             for z in members:
                 if op[xy][z] != op[x][op[y][z]]:
-                    witness = assoc_witness(FinSet(x), FinSet(y), FinSet(z))
+                    witness = assoc_witness(universe[x], universe[y],
+                                            universe[z])
                     return SubsetReport(fins, "non_associative", witness)
     return SubsetReport(fins, "subgroup")
 
@@ -201,7 +208,9 @@ def search_closed_subsets(bound: int, max_size: int) -> list[SubsetReport]:
     lexicographic on the sorted encodings), and classifies each.  The
     candidate count, the sum of C(2**bound - 1, k - 1) over sizes k up
     to max_size, grows as 2**(2**bound - 1) for full sweeps, so it is
-    capped at MAX_SUBSET_CANDIDATES.
+    capped at MAX_SUBSET_CANDIDATES.  Reports share their sets: one
+    FinSet per universe set and one ClosureFailure per offending
+    application serve every report of a call.
     """
     if not 0 <= bound <= MAX_SUBSET_BOUND:
         raise RangeError(f"bound {bound} out of range: the subset search is "
@@ -215,15 +224,27 @@ def search_closed_subsets(bound: int, max_size: int) -> list[SubsetReport]:
         raise RangeError(f"{count} candidates > limit "
                          f"{MAX_SUBSET_CANDIDATES}: lower the bound or "
                          "max_size")
-    op = _op_table(n)
-    inv = [invert(FinSet(x)).bits for x in range(n)]
-    return [_classify(m, n, op, inv) for m in _candidates(n, max_size)]
+    # every oplus or invert result of universe sets lies below 2 * n
+    universe = [FinSet(x) for x in range(2 * n)]
+    op = [[oplus(a, b).bits for b in universe[:n]] for a in universe[:n]]
+    inv = [invert(a).bits for a in universe[:n]]
+    # escapes[x]: bit y set iff x ⊕ y leaves the universe
+    escapes = [sum(1 << y for y in range(n) if row[y] >= n) for row in op]
+    blames = {}
+    return [_classify(m, n, universe, op, inv, escapes, blames)
+            for m in _candidates(n, max_size)]
 
 
 def orbit(a: FinSet, k: int) -> list[FinSet]:
-    """First k left-iterates of a under oplus: a, a⊕a, (a⊕a)⊕a, ..."""
+    """First k left-iterates of a under oplus: a, a⊕a, (a⊕a)⊕a, ...
+
+    k is capped at MAX_ORBIT_ITERATIONS, checked before iterating.
+    """
     if k < 0:
         raise ValueError(f"iteration count must be non-negative, got {k}")
+    if k > MAX_ORBIT_ITERATIONS:
+        raise RangeError(f"{k} iterations > limit {MAX_ORBIT_ITERATIONS}: "
+                         "ask for fewer iterations")
     out = []
     current = a
     for _ in range(k):
@@ -232,15 +253,28 @@ def orbit(a: FinSet, k: int) -> list[FinSet]:
     return out
 
 
+# Literals of every set below 2 << MAX_SUBSET_BOUND, which holds every
+# member, operand and result of a subset search.
+_LITERALS = [format(FinSet(x)) for x in range(2 << MAX_SUBSET_BOUND)]
+
+
+def _literals(sets: tuple[FinSet, ...]) -> list[str]:
+    """The sets' literals, from the table unless one is too large for it."""
+    try:
+        return [_LITERALS[a.bits] for a in sets]
+    except IndexError:
+        return [format(a) for a in sets]
+
+
 def witness_as_dict(w: Witness) -> dict:
-    return {"a": format(w.a), "b": format(w.b), "c": format(w.c),
-            "left": format(w.left), "right": format(w.right)}
+    a, b, c, left, right = _literals((w.a, w.b, w.c, w.left, w.right))
+    return {"a": a, "b": b, "c": c, "left": left, "right": right}
 
 
 def failure_as_dict(f: ClosureFailure) -> dict:
-    return {"operation": f.operation,
-            "operands": [format(x) for x in f.operands],
-            "result": format(f.result)}
+    *operands, result = _literals(f.operands + (f.result,))
+    return {"operation": f.operation, "operands": operands,
+            "result": result}
 
 
 def report_as_dict(r: SubsetReport) -> dict:
@@ -251,7 +285,7 @@ def report_as_dict(r: SubsetReport) -> dict:
     else:
         blame = None
     return {"size": len(r.members),
-            "members": [format(m) for m in r.members],
+            "members": _literals(r.members),
             "status": r.status,
             "witness": blame}
 

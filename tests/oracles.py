@@ -92,3 +92,52 @@ def scan_by_triples(bound: int) -> tuple[int, int, tuple | None]:
                     if first is None:
                         first = (a, b, c)
     return n ** 3, failing, first
+
+
+def candidates(bound: int, max_size: int) -> list[tuple[int, ...]]:
+    """Every sorted tuple of subset encodings below 2**bound that holds 0
+    and at most max_size members, by size, then lexicographically."""
+    n = 1 << bound
+    layer = {(0,)} if max_size else set()
+    found = set(layer)
+    for _ in range(max_size - 1):
+        layer = {tuple(sorted(c + (x,)))
+                 for c in layer for x in range(1, n) if x not in c}
+        found |= layer
+    return sorted(found, key=lambda c: (len(c), c))
+
+
+def classify(members: tuple[int, ...], bound: int) -> tuple[str, tuple | None]:
+    """Status and witness of one subset-search candidate, with no tables.
+
+    Checks, in order: an oplus and then an inverse at or beyond
+    2**bound (escaping), an oplus that is not a member (not_closed), an
+    inverse that is not a member (not_inverse_closed), a triple whose
+    association orders differ (non_associative).  The witness is the
+    first offender in scan order: pairs x, y with y at or after x in the
+    sorted members, single members in order, triples in every order.
+    It reads ("oplus", (x, y), result), ("invert", (x,), result) or
+    ("assoc", (a, b, c), left, right).
+    """
+    n = 1 << bound
+    pairs = [(x, y) for i, x in enumerate(members) for y in members[i:]]
+    inverses = [(x, inverse_by_stretch_parity(x)) for x in members]
+    for x, y in pairs:
+        if oplus(x, y) >= n:
+            return "escaping", ("oplus", (x, y), oplus(x, y))
+    for x, inv in inverses:
+        if inv >= n:
+            return "escaping", ("invert", (x,), inv)
+    for x, y in pairs:
+        if oplus(x, y) not in members:
+            return "not_closed", ("oplus", (x, y), oplus(x, y))
+    for x, inv in inverses:
+        if inv not in members:
+            return "not_inverse_closed", ("invert", (x,), inv)
+    for a in members:
+        for b in members:
+            for c in members:
+                left, right = oplus(oplus(a, b), c), oplus(a, oplus(b, c))
+                if left != right:
+                    return "non_associative", ("assoc", (a, b, c), left, right)
+    return "subgroup", None

@@ -1,5 +1,6 @@
 """The command-line surface: dispatch, output formats, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -104,6 +105,15 @@ class TestExplorerVerbs:
         lines = out.strip().split("\n")
         assert json.loads(lines[-1])["candidates"] == 8
 
+    def test_search_subgroups_bound_four_bytes_pinned(self, capsys):
+        # the full sweep's output as first recorded, byte for byte
+        code = run(["search-subgroups", "--bound", "4"])
+        out = capsys.readouterr().out.encode()
+        assert code == 0
+        assert len(out) == 6_762_020
+        assert hashlib.sha256(out).hexdigest() == (
+            "aa855a1ce8ce987ada2df4a0ef84daec78af976567e57c2dd0314425c5b0391e")
+
     def test_adder_stats_object_and_key_order(self, capsys):
         code, out, _ = invoke(capsys, "adder-stats", "2")
         assert code == 0
@@ -169,6 +179,14 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1
         assert (code, out) == (1, "")
         assert "2147483648 candidates > limit 65536" in err
+
+    def test_orbit_cap_exits_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "orbit", "{0}", "--iterations",
+                                "1000000000000")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert "1000000000000 iterations > limit 65536" in err
 
     def test_success_stream_clean_on_success(self, capsys):
         code, out, err = invoke(capsys, "oplus", "{1,2}", "{2,3}")

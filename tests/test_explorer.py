@@ -4,10 +4,12 @@ import json
 
 import pytest
 
-from carrymagma import (EMPTY, FinSet, RangeError, assoc_witness, invert,
-                        oplus, orbit, scan_associativity,
+from carrymagma import (EMPTY, FinSet, RangeError, Witness, assoc_witness,
+                        format, invert, oplus, orbit, scan_associativity,
                         search_closed_subsets)
-from carrymagma.explorer import (MAX_SUBSET_CANDIDATES, report_as_dict,
+from carrymagma import explorer
+from carrymagma.explorer import (MAX_ORBIT_ITERATIONS, MAX_SUBSET_BOUND,
+                                 MAX_SUBSET_CANDIDATES, report_as_dict,
                                  search_summary, witness_as_dict)
 
 import oracles
@@ -188,6 +190,60 @@ class TestSearchClosedSubsets:
             search_closed_subsets(5, 6)
 
 
+class TestSearchAgainstOracle:
+    @staticmethod
+    def plain(report):
+        """A report as ints: members, status and the oracle's witness form."""
+        w = report.witness
+        if w is None:
+            blame = None
+        elif isinstance(w, Witness):
+            blame = ("assoc", (w.a.bits, w.b.bits, w.c.bits), w.left.bits,
+                     w.right.bits)
+        else:
+            blame = (w.operation, tuple(x.bits for x in w.operands),
+                     w.result.bits)
+        return tuple(m.bits for m in report.members), report.status, blame
+
+    # only escaping, not_closed and {{}} as subgroup occur in these
+    # sweeps: a ⊕ a = a << 1, so the largest non-empty member's double
+    # escapes or is missing
+    @pytest.mark.parametrize("bound, max_size", [(3, 8), (5, 3)])
+    def test_sweep_matches_plain_int_classifier(self, bound, max_size):
+        got = [self.plain(r) for r in search_closed_subsets(bound, max_size)]
+        want = [(c, *oracles.classify(c, bound))
+                for c in oracles.candidates(bound, max_size)]
+        assert got == want
+
+    @pytest.mark.parametrize("bound", range(MAX_SUBSET_BOUND + 1))
+    def test_results_stay_below_twice_the_universe(self, bound):
+        # the search's shared FinSets and the literal table cover 2 << bound
+        universe = [FinSet(x) for x in range(1 << bound)]
+        for a in universe:
+            assert invert(a).bits < 2 << bound
+            for b in universe:
+                assert oplus(a, b).bits < 2 << bound
+
+    def test_reports_share_their_sets(self):
+        reports = search_closed_subsets(3, 3)
+        assert all(r.members[0] is reports[0].members[0] for r in reports)
+        assert reports[2].witness is not None
+        assert reports[2].members[1] is reports[2].witness.operands[0]
+
+
+class TestLiterals:
+    def test_table_equals_format(self):
+        table = explorer._LITERALS
+        assert len(table) == 2 << MAX_SUBSET_BOUND
+        assert table == [format(FinSet(x)) for x in range(len(table))]
+
+    def test_sets_beyond_the_table_use_format(self):
+        w = assoc_witness(FinSet.of(1000), FinSet.of(1000), FinSet.of(1001))
+        assert witness_as_dict(w) == {"a": "{1000}", "b": "{1000}",
+                                      "c": "{1001}", "left": "{1002}",
+                                      "right": "{}"}
+
+
 class TestOrbit:
     def test_empty_set_fixed(self):
         assert orbit(EMPTY, 3) == [EMPTY, EMPTY, EMPTY]
@@ -206,6 +262,13 @@ class TestOrbit:
     def test_negative_iterations_rejected(self):
         with pytest.raises(ValueError):
             orbit(FinSet.of(0), -1)
+
+    def test_iteration_cap(self):
+        assert MAX_ORBIT_ITERATIONS == 2**16
+        assert len(orbit(FinSet.of(0), MAX_ORBIT_ITERATIONS)) == 2**16
+        with pytest.raises(RangeError,
+                           match="65537 iterations > limit 65536"):
+            orbit(FinSet.of(0), MAX_ORBIT_ITERATIONS + 1)
 
 
 class TestJsonShapes:
