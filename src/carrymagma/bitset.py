@@ -63,18 +63,9 @@ class FinSet:
         return n >= 0 and (self.bits >> n) & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
-        bits = self.bits
-        if bits.bit_length() <= 64:
-            # peeling the lowest bit is cheapest while the int is a
-            # few machine words
-            while bits:
-                low = bits & -bits
-                yield low.bit_length() - 1
-                bits ^= low
-            return
-        # beyond that each peel would copy the whole int, so scan the
-        # binary digits once instead
-        low_first = bin(bits)[:1:-1]
+        # scan the binary digits once: peeling the lowest bit would copy
+        # the whole int per member
+        low_first = bin(self.bits)[:1:-1]
         n = low_first.find("1")
         while n >= 0:
             yield n

@@ -99,24 +99,25 @@ def _emit(args, plain: str, payload: dict) -> None:
         print(plain)
 
 
+def _emit_result(args, value) -> None:
+    """Print one set literal or number, plain or as {"result": value}."""
+    _emit(args, str(value), {"result": value})
+
+
 def _run_verb(args) -> int:
     verb = args.verb
     if verb == "oplus":
-        result = oplus(parse(args.a), parse(args.b))
-        _emit(args, format(result), {"result": format(result)})
+        _emit_result(args, format(oplus(parse(args.a), parse(args.b))))
     elif verb == "invert":
-        result = invert(parse(args.a))
-        _emit(args, format(result), {"result": format(result)})
+        _emit_result(args, format(invert(parse(args.a))))
     elif verb == "solve":
-        result = solve(parse(args.a), parse(args.b))
-        _emit(args, format(result), {"result": format(result)})
+        _emit_result(args, format(solve(parse(args.a), parse(args.b))))
     elif verb == "stretch":
-        value = stretch(parse(args.a), args.n)
-        _emit(args, str(value), {"result": value})
+        _emit_result(args, stretch(parse(args.a), args.n))
     elif verb == "orbit":
-        sets = explorer.orbit(parse(args.a), args.iterations)
-        _emit(args, "\n".join(format(s) for s in sets),
-              {"result": [format(s) for s in sets]})
+        texts = [format(s) for s in explorer.orbit(parse(args.a),
+                                                   args.iterations)]
+        _emit(args, "\n".join(texts), {"result": texts})
     elif verb == "assoc":
         witness = explorer.assoc_witness(parse(args.a), parse(args.b),
                                          parse(args.c))
@@ -153,11 +154,9 @@ def _run_verb(args) -> int:
         stats = adder.approx_stats(args.width)
         print(json.dumps(asdict(stats)))
     elif verb == "encode":
-        value = encode(parse(args.a))
-        _emit(args, str(value), {"result": value})
+        _emit_result(args, encode(parse(args.a)))
     elif verb == "decode":
-        result = decode(args.m)
-        _emit(args, format(result), {"result": format(result)})
+        _emit_result(args, format(decode(args.m)))
     else:  # pragma: no cover - argparse rejects unknown verbs first
         raise AssertionError(f"unhandled verb {verb!r}")
     return EXIT_OK

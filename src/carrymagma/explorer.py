@@ -12,16 +12,16 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, product, starmap
 from math import comb
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import Iterator, NamedTuple, Optional
 
 from .bitset import FinSet, format
 from .errors import RangeError
-from .magma import invert, oplus
+from .magma import oplus
 
 MAX_ASSOC_BOUND = 6
 MAX_SUBSET_BOUND = 5
 MAX_SUBSET_CANDIDATES = 2**16
-MAX_ORBIT_ITERATIONS = 2**16
+MAX_ORBIT_BITS = 2**27
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,7 @@ class Witness:
 class ClosureFailure:
     """The operation application that pushed a candidate out of shape."""
 
-    operation: str  # "oplus" or "invert"
+    operation: str  # "oplus" in every search report (see SubsetReport)
     operands: tuple[FinSet, ...]
     result: FinSet
 
@@ -49,23 +49,23 @@ class SubsetReport:
     """Classification of one candidate subset of the universe.
 
     status is one of:
-      subgroup            contains {}, closed under oplus and invert,
-                          and oplus restricted to the members is
-                          associative
-      escaping            some oplus or invert result has an element at
-                          or beyond the universe bound
-      not_closed          some oplus result stays inside the universe
-                          but is not a member
-      not_inverse_closed  some inverse is not a member
-      non_associative     closed, but some member triple has a Witness
+      escaping    some oplus result has an element at or beyond the
+                  universe bound
+      not_closed  some oplus result stays inside the universe but is
+                  not a member
+      subgroup    contains {}, closed under oplus and invert, and oplus
+                  restricted to the members is associative
 
-    witness carries the explaining Witness or ClosureFailure when the
-    status has one.
+    No other outcome exists, since a ⊕ a = a << 1: the largest
+    non-empty member's double escapes or is a larger set, so not a
+    member.  Only {{}} is left, and it is a subgroup: {} ⊕ {} = {} and
+    invert({}) = {}.  witness is the ClosureFailure of the first
+    offending pair, or None for a subgroup.
     """
 
     members: tuple[FinSet, ...]
     status: str
-    witness: Union[Witness, ClosureFailure, None] = None
+    witness: Optional[ClosureFailure] = None
 
 
 class AssocScan(NamedTuple):
@@ -142,26 +142,28 @@ def scan_associativity(bound: int) -> AssocScan:
     return AssocScan(total, failing, witness)
 
 
-def _classify(members: tuple[int, ...], n: int, universe: list[FinSet],
-              op: list[list[int]], inv: list[int], escapes: list[int],
-              blames: dict[tuple[int, ...], ClosureFailure]) -> SubsetReport:
+def _classify(members: tuple[int, ...], universe: list[FinSet],
+              op: list[list[int]], escapes: list[int],
+              blames: dict[tuple[int, int], ClosureFailure]) -> SubsetReport:
     """Classify one candidate, scanning pairs in encoding order.
 
-    Escape wins over every in-universe failure, then oplus closure,
-    then inverse closure, then associativity; the first offending pair
-    or triple in scan order becomes the witness.  Members, operands and
-    results are the shared universe FinSets, and each ClosureFailure is
-    built once per search and kept in blames.
+    Escape wins over closure; the first offending pair in scan order
+    becomes the witness.  Inverses and associativity need no check:
+    x ⊕ x = x << 1 for the largest non-empty member x, so every
+    candidate but (0,) escapes or is not closed by the time x pairs
+    with itself, and max(invert(a)) <= max(a) + 1 means no inverse
+    escapes before that double does.  (0,) is {{}}, a true subgroup.
+    Members, operands and results are the shared universe FinSets, and
+    each ClosureFailure is built once per search and kept in blames.
     """
     fins = tuple(map(universe.__getitem__, members))
     mask = sum(1 << x for x in members)
 
-    def failure(status, operation, operands, result):
-        blame = blames.get(operands)
+    def failure(status, x, y):
+        blame = blames.get((x, y))
         if blame is None:
-            blame = blames[operands] = ClosureFailure(
-                operation, tuple(map(universe.__getitem__, operands)),
-                universe[result])
+            blame = blames[x, y] = ClosureFailure(
+                "oplus", (universe[x], universe[y]), universe[op[x][y]])
         return SubsetReport(fins, status, blame)
 
     for x in members:
@@ -169,26 +171,11 @@ def _classify(members: tuple[int, ...], n: int, universe: list[FinSet],
         # have escaped with x when y was scanned, ⊕ being commutative
         hit = escapes[x] & mask
         if hit:
-            y = (hit & -hit).bit_length() - 1
-            return failure("escaping", "oplus", (x, y), op[x][y])
-    for x in members:
-        if inv[x] >= n:
-            return failure("escaping", "invert", (x,), inv[x])
+            return failure("escaping", x, (hit & -hit).bit_length() - 1)
     for i, x in enumerate(members):
         for y in members[i:]:
             if not mask >> op[x][y] & 1:
-                return failure("not_closed", "oplus", (x, y), op[x][y])
-    for x in members:
-        if not mask >> inv[x] & 1:
-            return failure("not_inverse_closed", "invert", (x,), inv[x])
-    for x in members:
-        for y in members:
-            xy = op[x][y]
-            for z in members:
-                if op[xy][z] != op[x][op[y][z]]:
-                    witness = assoc_witness(universe[x], universe[y],
-                                            universe[z])
-                    return SubsetReport(fins, "non_associative", witness)
+                return failure("not_closed", x, y)
     return SubsetReport(fins, "subgroup")
 
 
@@ -224,27 +211,31 @@ def search_closed_subsets(bound: int, max_size: int) -> list[SubsetReport]:
         raise RangeError(f"{count} candidates > limit "
                          f"{MAX_SUBSET_CANDIDATES}: lower the bound or "
                          "max_size")
-    # every oplus or invert result of universe sets lies below 2 * n
+    # every oplus result of universe sets lies below 2 * n
     universe = [FinSet(x) for x in range(2 * n)]
     op = [[oplus(a, b).bits for b in universe[:n]] for a in universe[:n]]
-    inv = [invert(a).bits for a in universe[:n]]
     # escapes[x]: bit y set iff x ⊕ y leaves the universe
     escapes = [sum(1 << y for y in range(n) if row[y] >= n) for row in op]
     blames = {}
-    return [_classify(m, n, universe, op, inv, escapes, blames)
+    return [_classify(m, universe, op, escapes, blames)
             for m in _candidates(n, max_size)]
 
 
 def orbit(a: FinSet, k: int) -> list[FinSet]:
     """First k left-iterates of a under oplus: a, a⊕a, (a⊕a)⊕a, ...
 
-    k is capped at MAX_ORBIT_ITERATIONS, checked before iterating.
+    Every iterate lies below bit m + 1, m = a.bits.bit_length(): if c
+    does, c ⊕ a = (c ^ a) ^ ((c & a) << 1) does too, since c ^ a is
+    below bit m + 1 and c & a below bit m.  So the cost, k iterates of
+    at most max(m + 1, 64) bits each, is known before iterating, and it
+    is capped at MAX_ORBIT_BITS.
     """
     if k < 0:
         raise ValueError(f"iteration count must be non-negative, got {k}")
-    if k > MAX_ORBIT_ITERATIONS:
-        raise RangeError(f"{k} iterations > limit {MAX_ORBIT_ITERATIONS}: "
-                         "ask for fewer iterations")
+    cost = k * max(a.bits.bit_length() + 1, 64)
+    if cost > MAX_ORBIT_BITS:
+        raise RangeError(f"{k} iterations cost {cost} bits > limit "
+                         f"{MAX_ORBIT_BITS}: ask for fewer iterations")
     out = []
     current = a
     for _ in range(k):
@@ -278,20 +269,17 @@ def failure_as_dict(f: ClosureFailure) -> dict:
 
 
 def report_as_dict(r: SubsetReport) -> dict:
-    if isinstance(r.witness, Witness):
-        blame = witness_as_dict(r.witness)
-    elif isinstance(r.witness, ClosureFailure):
-        blame = failure_as_dict(r.witness)
-    else:
-        blame = None
     return {"size": len(r.members),
             "members": _literals(r.members),
             "status": r.status,
-            "witness": blame}
+            "witness": (None if r.witness is None
+                        else failure_as_dict(r.witness))}
 
 
 def search_summary(reports: list[SubsetReport]) -> dict:
     """Totals line for a search run, with a fixed key order."""
+    # the last two statuses never occur (see SubsetReport); their keys
+    # stay so the totals line keeps its shape
     counts = {"subgroup": 0, "escaping": 0, "not_closed": 0,
               "not_inverse_closed": 0, "non_associative": 0}
     for r in reports:

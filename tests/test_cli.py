@@ -186,7 +186,19 @@ class TestExitCodes:
                                 "1000000000000")
         assert time.perf_counter() - start < 1
         assert (code, out) == (1, "")
-        assert "1000000000000 iterations > limit 65536" in err
+        assert ("1000000000000 iterations cost 64000000000000 bits > limit "
+                "134217728") in err
+
+    def test_orbit_cap_weighs_set_width(self, capsys):
+        # 65536 iterations pass an iteration count cap, but each iterate
+        # of {16777215} has up to 2**24 + 1 bits
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "orbit", "{16777215}",
+                                "--iterations", "65536")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert ("65536 iterations cost 1099511693312 bits > limit "
+                "134217728") in err
 
     def test_success_stream_clean_on_success(self, capsys):
         code, out, err = invoke(capsys, "oplus", "{1,2}", "{2,3}")

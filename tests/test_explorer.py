@@ -4,11 +4,11 @@ import json
 
 import pytest
 
-from carrymagma import (EMPTY, FinSet, RangeError, Witness, assoc_witness,
-                        format, invert, oplus, orbit, scan_associativity,
+from carrymagma import (EMPTY, FinSet, RangeError, assoc_witness, format,
+                        invert, oplus, orbit, scan_associativity,
                         search_closed_subsets)
 from carrymagma import explorer
-from carrymagma.explorer import (MAX_ORBIT_ITERATIONS, MAX_SUBSET_BOUND,
+from carrymagma.explorer import (MAX_ORBIT_BITS, MAX_SUBSET_BOUND,
                                  MAX_SUBSET_CANDIDATES, report_as_dict,
                                  search_summary, witness_as_dict)
 
@@ -195,25 +195,39 @@ class TestSearchAgainstOracle:
     def plain(report):
         """A report as ints: members, status and the oracle's witness form."""
         w = report.witness
-        if w is None:
-            blame = None
-        elif isinstance(w, Witness):
-            blame = ("assoc", (w.a.bits, w.b.bits, w.c.bits), w.left.bits,
-                     w.right.bits)
-        else:
-            blame = (w.operation, tuple(x.bits for x in w.operands),
-                     w.result.bits)
+        blame = None if w is None else (
+            w.operation, tuple(x.bits for x in w.operands), w.result.bits)
         return tuple(m.bits for m in report.members), report.status, blame
 
-    # only escaping, not_closed and {{}} as subgroup occur in these
-    # sweeps: a ⊕ a = a << 1, so the largest non-empty member's double
-    # escapes or is missing
-    @pytest.mark.parametrize("bound, max_size", [(3, 8), (5, 3)])
+    @pytest.mark.parametrize("bound, max_size", [(3, 8), (4, 4), (5, 3),
+                                                 (5, 5)])
     def test_sweep_matches_plain_int_classifier(self, bound, max_size):
         got = [self.plain(r) for r in search_closed_subsets(bound, max_size)]
         want = [(c, *oracles.classify(c, bound))
                 for c in oracles.candidates(bound, max_size)]
         assert got == want
+
+    # the theorem the search's two checks rest on: a ⊕ a = a << 1, so the
+    # largest non-empty member's double escapes or is missing, and the
+    # five-check oracle never reaches its inverse or associativity checks
+    @pytest.mark.parametrize("bound, max_size", [(0, 1), (1, 2), (2, 4),
+                                                 (3, 8), (4, 4), (5, 3)])
+    def test_only_escape_closure_or_trivial_subgroup(self, bound, max_size):
+        for c in oracles.candidates(bound, max_size):
+            status, blame = oracles.classify(c, bound)
+            if c == (0,):
+                assert (status, blame) == ("subgroup", None)
+            else:
+                assert status in {"escaping", "not_closed"}
+                assert blame[0] == "oplus"
+
+    def test_inverse_and_orbit_stay_within_one_bit(self):
+        # every 14-bit set: no inverse or iterate passes max(a) + 1
+        for bits in range(1 << 14):
+            a = FinSet(bits)
+            top = 1 << (bits.bit_length() + 1)
+            assert invert(a).bits < top
+            assert all(c.bits < top for c in orbit(a, 6))
 
     @pytest.mark.parametrize("bound", range(MAX_SUBSET_BOUND + 1))
     def test_results_stay_below_twice_the_universe(self, bound):
@@ -264,11 +278,15 @@ class TestOrbit:
             orbit(FinSet.of(0), -1)
 
     def test_iteration_cap(self):
-        assert MAX_ORBIT_ITERATIONS == 2**16
-        assert len(orbit(FinSet.of(0), MAX_ORBIT_ITERATIONS)) == 2**16
-        with pytest.raises(RangeError,
-                           match="65537 iterations > limit 65536"):
-            orbit(FinSet.of(0), MAX_ORBIT_ITERATIONS + 1)
+        assert MAX_ORBIT_BITS == 2**27
+        # a small set costs 64 bits per iterate
+        assert len(orbit(FinSet.of(0), 2**16)) == 2**16
+        # iterates of {2**24 - 1} have up to 2**24 + 1 bits
+        top = FinSet.of(2**24 - 1)
+        assert len(orbit(top, 7)) == 7
+        with pytest.raises(RangeError, match="8 iterations cost 134217736 "
+                                             "bits > limit 134217728"):
+            orbit(top, 8)
 
 
 class TestJsonShapes:

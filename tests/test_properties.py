@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from carrymagma import (EMPTY, FinSet, SetLiteralError, approx_add, encode,
                         exactness, format, invert, iterated_add, knuth_sum,
-                        oplus, parse, shift_up, solve, stretch)
+                        oplus, orbit, parse, shift_up, solve, stretch)
 
 import oracles
 
@@ -132,6 +132,15 @@ def test_stretch_matches_oracles_on_big_sets(a, ns):
         expected = oracles.stretch_by_steps(a.bits, n)
         assert oracles.stretch_by_gap(a.bits, n) == expected
         assert stretch(a, n) == expected
+
+
+@big
+@given(big_sets(), st.integers(0, 8))
+def test_inverse_and_orbit_stay_within_one_bit_on_big_sets(a, k):
+    # the bounds behind the subset search's two checks and orbit's cost cap
+    top = 1 << (a.bits.bit_length() + 1)
+    assert invert(a).bits < top
+    assert all(c.bits < top for c in orbit(a, k))
 
 
 @big
