@@ -8,6 +8,7 @@ error, 2 usage or parse error.
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 
@@ -20,8 +21,16 @@ EXIT_OK = 0
 EXIT_RANGE = 1
 EXIT_USAGE = 2
 
+# Python's default int/str digit limit, fixed here so that
+# PYTHONINTMAXSTRDIGITS cannot open a quadratic conversion
+MAX_DIGITS = 4300
+
 
 def _natural(text: str) -> int:
+    if len(text) > MAX_DIGITS:
+        raise argparse.ArgumentTypeError(
+            f"{text[:12]!r}... has {len(text)} characters: integers are "
+            f"capped at {MAX_DIGITS} digits")
     try:
         value = int(text)
     except ValueError:
@@ -29,6 +38,17 @@ def _natural(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"{text!r} is negative")
     return value
+
+
+def _digits(value: int) -> int:
+    """Decimal digits of a positive int, without converting it to text."""
+    # log10 errs by under 1e-8 below 2**(2**25), so only a value next to
+    # a power of ten needs the exact comparison
+    log = math.log10(value)
+    k = round(log)
+    if abs(log - k) < 1e-6:
+        return k + 1 if value >= 10 ** k else k
+    return math.floor(log) + 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -154,7 +174,11 @@ def _run_verb(args) -> int:
         stats = adder.approx_stats(args.width)
         print(json.dumps(asdict(stats)))
     elif verb == "encode":
-        _emit_result(args, encode(parse(args.a)))
+        value = encode(parse(args.a))
+        if value >= 10 ** MAX_DIGITS:
+            raise RangeError(f"the integer has {_digits(value)} digits > "
+                             f"limit {MAX_DIGITS}")
+        _emit_result(args, value)
     elif verb == "decode":
         _emit_result(args, format(decode(args.m)))
     else:  # pragma: no cover - argparse rejects unknown verbs first

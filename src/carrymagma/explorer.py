@@ -1,6 +1,6 @@
 """Desk-scale probes of the magma's structure.
 
-Exact associativity counts over a truncated universe of sets, a
+Closed-form associativity counts over a truncated universe of sets, a
 search for closed substructures behaving like subgroups, and self-oplus
 orbits.  Universes are the power sets of [0, bound); operation results
 may leave the universe, and candidates whose closure does so are
@@ -9,8 +9,7 @@ would fabricate closure that does not exist over the full naturals.
 """
 
 from dataclasses import dataclass
-from functools import cache
-from itertools import combinations, product, starmap
+from itertools import combinations
 from math import comb
 from typing import Iterator, NamedTuple, Optional
 
@@ -22,6 +21,7 @@ MAX_ASSOC_BOUND = 6
 MAX_SUBSET_BOUND = 5
 MAX_SUBSET_CANDIDATES = 2**16
 MAX_ORBIT_BITS = 2**27
+_MIN_ITERATE_BITS = 2048  # a small iterate's objects: 154-228 bytes
 
 
 @dataclass(frozen=True)
@@ -83,73 +83,46 @@ def assoc_witness(a: FinSet, b: FinSet, c: FinSet) -> Optional[Witness]:
     return Witness(a, b, c, left, right)
 
 
-def _column(window: int, k: int) -> FinSet:
-    """Operand k's bits i-2, i-1 and i, read off a triple window."""
-    return FinSet(sum((window >> (3 * j + k) & 1) << j for j in range(3)))
-
-
-@cache
-def _agrees(window: int) -> bool:
-    """Whether both association orders agree at bit i of a triple window.
-
-    The window holds one 3-bit group per position i-2, i-1 and i, from
-    low to high, each with the bits of a, b and c in that order.  Bit i
-    of either order reads only those positions; it lands at bit 2 of
-    the results on the operands' 3-bit columns.
-    """
-    a, b, c = (_column(window, k) for k in range(3))
-    return (oplus(oplus(a, b), c).bits ^ oplus(a, oplus(b, c)).bits) & 4 == 0
+def _associative_triples(bound: int) -> int:
+    """Associative triples over subsets of [0, bound): s_0 = 1, s_1 = 8,
+    s_b = 6 s_{b-1} + 4 s_{b-2}, proved in the tests against the
+    64-state automaton that walks the triples' bit positions."""
+    s, t = 1, 8
+    for _ in range(bound):
+        s, t = t, 6 * t + 4 * s
+    return s
 
 
 def scan_associativity(bound: int) -> AssocScan:
-    """Test every triple of subsets of [0, bound) for associativity.
+    """Count the triples of subsets of [0, bound) that are not associative.
 
     Returns total and failing triple counts plus the first failing
-    triple in lexicographic encoding order.  Bit i of (a⊕b)⊕c and of
-    a⊕(b⊕c) depends only on the operands' bits i, i-1 and i-2, so one
-    pass over positions 0 .. bound counts the triples agreeing
-    everywhere, with each operand's two bits below i as the state (64
-    states).  Neither order sets a bit above bound: there every operand
-    is 0 at i and i-1, so bit i of either order is 0.  A triple holding
-    {} is associative, {} being neutral, so the first witness is the
-    first hit among triples of non-empty sets.
+    triple in lexicographic encoding order, in O(bound) steps; the cap
+    keeps the interface stable.  A triple holding {} is associative, {}
+    being neutral, and ({0}, {0}, {0}) is by commutativity, so the first
+    witness is ({0}, {0}, {1}) once the universe holds {1}, at bound 2.
     """
     if not 0 <= bound <= MAX_ASSOC_BOUND:
         raise RangeError(f"bound {bound} out of range: associativity scans are "
                          f"capped at bound {MAX_ASSOC_BOUND} "
                          f"(2**{3 * MAX_ASSOC_BOUND} triples)")
-    n = 1 << bound
-    agrees = [_agrees(window) for window in range(1 << 9)]
-    # counts[state]: triples agreeing so far whose bits at i-2 and i-1
-    # are the low and high 3-bit groups of state
-    counts = [1] + [0] * 63
-    for i in range(bound + 1):
-        step = [0] * 64
-        for state, count in enumerate(counts):
-            # operands have no bit at bound itself
-            for bits in range(8 if i < bound else 1):
-                window = state | bits << 6
-                if agrees[window]:
-                    step[window >> 3] += count
-        counts = step
-    total = n ** 3
-    failing = total - sum(counts)
-    witness = None
-    if failing:
-        triples = product(map(FinSet, range(1, n)), repeat=3)
-        witness = next(w for w in starmap(assoc_witness, triples)
-                       if w is not None)
-    return AssocScan(total, failing, witness)
+    total = 8 ** bound
+    witness = (assoc_witness(FinSet.of(0), FinSet.of(0), FinSet.of(1))
+               if bound >= 2 else None)
+    return AssocScan(total, total - _associative_triples(bound), witness)
 
 
 def _classify(members: tuple[int, ...], universe: list[FinSet],
-              op: list[list[int]], escapes: list[int],
+              op: list[list[int]], top: int,
               blames: dict[tuple[int, int], ClosureFailure]) -> SubsetReport:
     """Classify one candidate, scanning pairs in encoding order.
 
     Escape wins over closure; the first offending pair in scan order
-    becomes the witness.  Inverses and associativity need no check:
-    x ⊕ x = x << 1 for the largest non-empty member x, so every
+    becomes the witness.  top is bit bound - 1 (0 at bound 0): x ⊕ y =
+    (x ^ y) ^ ((x & y) << 1) leaves the universe iff x & y holds top, so
+    a candidate escapes iff its largest member does, first at (H, H),
+    H the least member holding top.  Inverses and associativity need no
+    check: x ⊕ x = x << 1 for the largest non-empty member x, so every
     candidate but (0,) escapes or is not closed by the time x pairs
     with itself, and max(invert(a)) <= max(a) + 1 means no inverse
     escapes before that double does.  (0,) is {{}}, a true subgroup.
@@ -166,12 +139,9 @@ def _classify(members: tuple[int, ...], universe: list[FinSet],
                 "oplus", (universe[x], universe[y]), universe[op[x][y]])
         return SubsetReport(fins, status, blame)
 
-    for x in members:
-        # members y with x ⊕ y outside the universe; a y below x would
-        # have escaped with x when y was scanned, ⊕ being commutative
-        hit = escapes[x] & mask
-        if hit:
-            return failure("escaping", x, (hit & -hit).bit_length() - 1)
+    if members[-1] & top:
+        high = next(x for x in members if x & top)
+        return failure("escaping", high, high)
     for i, x in enumerate(members):
         for y in members[i:]:
             if not mask >> op[x][y] & 1:
@@ -214,25 +184,26 @@ def search_closed_subsets(bound: int, max_size: int) -> list[SubsetReport]:
     # every oplus result of universe sets lies below 2 * n
     universe = [FinSet(x) for x in range(2 * n)]
     op = [[oplus(a, b).bits for b in universe[:n]] for a in universe[:n]]
-    # escapes[x]: bit y set iff x ⊕ y leaves the universe
-    escapes = [sum(1 << y for y in range(n) if row[y] >= n) for row in op]
     blames = {}
-    return [_classify(m, universe, op, escapes, blames)
+    return [_classify(m, universe, op, n >> 1, blames)
             for m in _candidates(n, max_size)]
 
 
 def orbit(a: FinSet, k: int) -> list[FinSet]:
     """First k left-iterates of a under oplus: a, a⊕a, (a⊕a)⊕a, ...
 
-    Every iterate lies below bit m + 1, m = a.bits.bit_length(): if c
-    does, c ⊕ a = (c ^ a) ^ ((c & a) << 1) does too, since c ^ a is
-    below bit m + 1 and c & a below bit m.  So the cost, k iterates of
-    at most max(m + 1, 64) bits each, is known before iterating, and it
-    is capped at MAX_ORBIT_BITS.
+    Every iterate's members lie in A ∪ (A + 1): if c's do, so do those
+    of c ⊕ a = (c ^ a) ^ ((c & a) << 1).  So with m = a.bits.bit_length()
+    an iterate has at most m + 1 bits and a literal of at most 2|A|
+    members of len(str(m)) digits.  Each iterate weighs the larger of
+    its bits, 8 bits per literal byte and _MIN_ITERATE_BITS, so the
+    cost is known before iterating; it is capped at MAX_ORBIT_BITS.
     """
     if k < 0:
         raise ValueError(f"iteration count must be non-negative, got {k}")
-    cost = k * max(a.bits.bit_length() + 1, 64)
+    m = a.bits.bit_length()
+    literal_bytes = 2 * a.bits.bit_count() * (len(str(m)) + 1) + 2
+    cost = k * max(m + 1, 8 * literal_bytes, _MIN_ITERATE_BITS)
     if cost > MAX_ORBIT_BITS:
         raise RangeError(f"{k} iterations cost {cost} bits > limit "
                          f"{MAX_ORBIT_BITS}: ask for fewer iterations")

@@ -2,8 +2,9 @@
 
 These are the straightforward forms of the library's operations, kept
 as oracles: the paper's stretch-parity inverse construction, the
-one-bit-per-step solver sweep, two readings of stretch, and the
-triple-by-triple associativity scan.  Nothing here imports carrymagma,
+one-bit-per-step solver sweep, two readings of stretch, the
+triple-by-triple associativity scan and the bit-position automaton
+that counts the same triples.  Nothing here imports carrymagma,
 so a test never checks an operation against itself.
 """
 
@@ -92,6 +93,46 @@ def scan_by_triples(bound: int) -> tuple[int, int, tuple | None]:
                     if first is None:
                         first = (a, b, c)
     return n ** 3, failing, first
+
+
+def _agrees(window: int) -> bool:
+    """Whether both association orders agree at bit i of a triple window.
+
+    The window holds one 3-bit group per position i-2, i-1 and i, from
+    low to high, each with the bits of a, b and c in that order.  Bit i
+    of either order reads only those positions; it lands at bit 2 of
+    the results on the operands' 3-bit columns.
+    """
+    a, b, c = (sum((window >> (3 * j + k) & 1) << j for j in range(3))
+               for k in range(3))
+    return (oplus(oplus(a, b), c) ^ oplus(a, oplus(b, c))) & 4 == 0
+
+
+def associative_by_automaton(max_bound: int) -> list[int]:
+    """Associative triples over subsets of [0, b), for every b up to
+    max_bound, by a 64-state walk over the bit positions.
+
+    The state is each operand's two bits below position i.  The walk
+    for bound b reads b positions with all 8 letters, then position b,
+    where every operand is 0.  Neither order sets a bit above b: there
+    every operand is 0 at i and i-1, so bit i of either order is 0.
+    """
+    agrees = [_agrees(window) for window in range(1 << 9)]
+    # counts[state]: triples agreeing so far whose bits at i-2 and i-1
+    # are the low and high 3-bit groups of state
+    counts = [1] + [0] * 63
+    out = []
+    for _ in range(max_bound + 1):
+        out.append(sum(count for state, count in enumerate(counts)
+                       if agrees[state]))
+        step = [0] * 64
+        for state, count in enumerate(counts):
+            for bits in range(8):
+                window = state | bits << 6
+                if agrees[window]:
+                    step[window >> 3] += count
+        counts = step
+    return out
 
 
 def candidates(bound: int, max_size: int) -> list[tuple[int, ...]]:

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import carrymagma
+from carrymagma import decode, format
 from carrymagma.cli import run
 
 
@@ -86,6 +87,26 @@ class TestExplorerVerbs:
         assert payload["total_triples"] == 64
         assert payload["failing_triples"] == 12
         assert payload["first_witness"]["a"] == "{0}"
+
+    @pytest.mark.parametrize("bound, total, failing", [
+        (0, 1, 0), (1, 8, 0), (2, 64, 12), (3, 512, 168), (4, 4096, 1824),
+        (5, 32768, 17760), (6, 262144, 163008)])
+    def test_scan_assoc_bytes_pinned(self, capsys, bound, total, failing):
+        # stdout as the triple-walking scan first printed it, byte for byte
+        witness = bound >= 2
+        code, out, err = invoke(capsys, "scan-assoc", "--bound", str(bound))
+        assert (code, err) == (0, "")
+        assert out == (f"total_triples: {total}\nfailing_triples: {failing}\n"
+                       + ("first_witness: a={0} b={0} c={1} left={2} "
+                          "right={}\n" if witness else ""))
+        code, out, err = invoke(capsys, "scan-assoc", "--bound", str(bound),
+                                "--json")
+        assert (code, err) == (0, "")
+        assert out == (
+            f'{{"bound": {bound}, "total_triples": {total}, '
+            f'"failing_triples": {failing}, "first_witness": '
+            + ('{"a": "{0}", "b": "{0}", "c": "{1}", "left": "{2}", '
+               '"right": "{}"}' if witness else "null") + "}\n")
 
     def test_search_subgroups_json_lines(self, capsys):
         code, out, _ = invoke(capsys, "search-subgroups", "--bound", "3",
@@ -186,8 +207,8 @@ class TestExitCodes:
                                 "1000000000000")
         assert time.perf_counter() - start < 1
         assert (code, out) == (1, "")
-        assert ("1000000000000 iterations cost 64000000000000 bits > limit "
-                "134217728") in err
+        assert ("1000000000000 iterations cost 2048000000000000 bits > "
+                "limit 134217728") in err
 
     def test_orbit_cap_weighs_set_width(self, capsys):
         # 65536 iterations pass an iteration count cap, but each iterate
@@ -200,6 +221,59 @@ class TestExitCodes:
         assert ("65536 iterations cost 1099511693312 bits > limit "
                 "134217728") in err
 
+    def test_orbit_cap_weighs_the_literal(self, capsys):
+        # {0..20999} fits in one argv string, but each iterate prints up
+        # to 42,000 members of 5 digits, far more than its 21,001 bits;
+        # weighed by bits alone, 6391 iterations would print about 730 MB
+        dense = "{" + ",".join(map(str, range(21000))) + "}"
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "orbit", dense, "--iterations",
+                                "6391")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert "6391 iterations cost 12884358256 bits > limit" in err
+        code, out, _ = invoke(capsys, "orbit", dense, "--iterations", "66")
+        assert code == 0
+        assert out.count("\n") == 66
+        code, out, _ = invoke(capsys, "orbit", dense, "--iterations", "67")
+        assert (code, out) == (1, "")
+
+    def test_encode_digit_limit(self, capsys):
+        # the largest set in encoding order whose integer has 4300 digits
+        code, out, err = invoke(capsys, "encode", format(decode(10**4300 - 1)))
+        assert (code, out, err) == (0, "9" * 4300 + "\n", "")
+        code, out, err = invoke(capsys, "encode", format(decode(10**4300)))
+        assert (code, out) == (1, "")
+        assert "4301 digits > limit 4300" in err
+        # log10 of 10**4301 - 1 rounds to 4301; the count must not
+        code, _, err = invoke(capsys, "encode", format(decode(10**4301 - 1)))
+        assert code == 1
+        assert "4301 digits > limit 4300" in err
+        code, out, err = invoke(capsys, "encode", "{20000}", "--json")
+        assert (code, out) == (1, "")
+        assert "6021 digits > limit 4300" in err
+
+    def test_encode_limit_ignores_python_setting(self):
+        # with the interpreter's own limit lifted, str() of 2**16777215
+        # would be a quadratic 5M-digit conversion
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "carrymagma.cli", "encode", "{16777215}"],
+            env=cli_env(PYTHONINTMAXSTRDIGITS="0"), capture_output=True,
+            text=True, timeout=60)
+        assert time.perf_counter() - start < 1
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert "5050445 digits > limit 4300" in proc.stderr
+
+    def test_long_integer_argument_names_limit(self, capsys):
+        code, out, err = invoke(capsys, "decode", "9" * 4400)
+        assert (code, out) == (2, "")
+        assert "4400 characters" in err
+        assert "capped at 4300 digits" in err
+        assert "9" * 100 not in err
+        code, out, _ = invoke(capsys, "decode", "9" * 4300)
+        assert code == 0
+
     def test_success_stream_clean_on_success(self, capsys):
         code, out, err = invoke(capsys, "oplus", "{1,2}", "{2,3}")
         assert code == 0
@@ -207,13 +281,18 @@ class TestExitCodes:
         assert out.count("\n") == 1
 
 
-def test_cli_import_stays_light():
-    # a fresh interpreter, so nothing imported by other tests counts
+def cli_env(**extra) -> dict:
+    """The environment for a fresh interpreter that imports this tree."""
     src = str(Path(carrymagma.__file__).parents[1])
-    env = dict(os.environ)
+    env = dict(os.environ, **extra)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_cli_import_stays_light():
+    # a fresh interpreter, so nothing imported by other tests counts
     subprocess.run(
         [sys.executable, "-c",
          "import carrymagma.cli, sys; assert 'numpy' not in sys.modules"],
-        env=env, check=True)
+        env=cli_env(), check=True)

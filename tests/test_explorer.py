@@ -91,6 +91,22 @@ class TestScanAssociativity:
         assert (None if w is None else (w.a.bits, w.b.bits, w.c.bits)) \
             == first
 
+    def test_recurrence_matches_automaton(self):
+        # The automaton's count at bound b is u M^b f for its 64x64
+        # transfer matrix M, so by Cayley-Hamilton it satisfies a linear
+        # recurrence of order 64; the library's closed form satisfies one
+        # of order 2.  Their difference satisfies the product recurrence,
+        # of order 66, so 66 equal consecutive terms make every term
+        # equal.  Bounds 0-70 give 71.
+        assert [explorer._associative_triples(b) for b in range(71)] \
+            == oracles.associative_by_automaton(70)
+
+    @pytest.mark.parametrize("bound", range(7))
+    def test_automaton_matches_triple_enumeration(self, bound):
+        total, failing, _ = oracles.scan_by_triples(bound)
+        assert oracles.associative_by_automaton(bound)[bound] \
+            == total - failing
+
     @pytest.mark.parametrize("bound", [7, -1])
     def test_out_of_range_bound(self, bound):
         with pytest.raises(RangeError):
@@ -238,6 +254,30 @@ class TestSearchAgainstOracle:
             for b in universe:
                 assert oplus(a, b).bits < 2 << bound
 
+    @pytest.mark.parametrize("bound", range(7))
+    def test_top_bit_escape_rule(self, bound):
+        # x ⊕ y leaves [0, 2**bound) iff both hold bit bound - 1
+        n = 1 << bound
+        for x in range(n):
+            for y in range(n):
+                assert (oplus(FinSet(x), FinSet(y)).bits >= n) \
+                    == bool(x & y & n >> 1)
+
+    @pytest.mark.parametrize("bound, max_size", [(0, 1), (1, 2), (2, 4),
+                                                 (3, 8), (4, 4), (5, 3)])
+    def test_escape_witness_is_least_top_member_doubled(self, bound,
+                                                         max_size):
+        top = (1 << bound) >> 1
+        for r in search_closed_subsets(bound, max_size):
+            high = [m for m in r.members if m.bits & top]
+            if high:
+                h = high[0]
+                assert r.status == "escaping"
+                assert r.witness.operands == (h, h)
+                assert r.witness.result == FinSet(h.bits << 1)
+            else:
+                assert r.status != "escaping"
+
     def test_reports_share_their_sets(self):
         reports = search_closed_subsets(3, 3)
         assert all(r.members[0] is reports[0].members[0] for r in reports)
@@ -279,8 +319,11 @@ class TestOrbit:
 
     def test_iteration_cap(self):
         assert MAX_ORBIT_BITS == 2**27
-        # a small set costs 64 bits per iterate
+        # a small set costs 2048 bits per iterate
         assert len(orbit(FinSet.of(0), 2**16)) == 2**16
+        with pytest.raises(RangeError, match="65537 iterations cost "
+                                             "134219776 bits"):
+            orbit(FinSet.of(0), 2**16 + 1)
         # iterates of {2**24 - 1} have up to 2**24 + 1 bits
         top = FinSet.of(2**24 - 1)
         assert len(orbit(top, 7)) == 7
