@@ -3,12 +3,13 @@
 Every verb maps to exactly one library operation; results print as
 canonical set literals (or JSON with --json) on stdout, with nothing
 else on the success stream.  Exit codes: 0 success, 1 domain/range
-error, 2 usage or parse error.
+error or stdout closed early, 2 usage or parse error.
 """
 
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 
@@ -22,7 +23,8 @@ EXIT_RANGE = 1
 EXIT_USAGE = 2
 
 # Python's default int/str digit limit, fixed here so that
-# PYTHONINTMAXSTRDIGITS cannot open a quadratic conversion
+# PYTHONINTMAXSTRDIGITS cannot open a quadratic conversion; main() also
+# pins the interpreter's limit to it, so a lower setting refuses nothing
 MAX_DIGITS = 4300
 
 
@@ -163,10 +165,7 @@ def _run_verb(args) -> int:
                "failing_triples": scan.failing_triples,
                "first_witness": witness})
     elif verb == "search-subgroups":
-        max_size = args.max_size
-        if max_size is None:
-            max_size = 1 << args.bound
-        reports = explorer.search_closed_subsets(args.bound, max_size)
+        reports = explorer.search_closed_subsets(args.bound, args.max_size)
         for report in reports:
             print(json.dumps(explorer.report_as_dict(report)))
         print(json.dumps(explorer.search_summary(reports)))
@@ -205,7 +204,19 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    """The console script: run() under the fixed digit limit, ending
+    quietly with EXIT_RANGE when a reader closes stdout early."""
+    if hasattr(sys, "set_int_max_str_digits"):  # Python 3.10.7 and later
+        sys.set_int_max_str_digits(MAX_DIGITS)
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()  # a closed pipe must fail inside the try
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; send that to
+        # devnull so the closed pipe raises nothing more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_RANGE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -113,8 +113,7 @@ def scan_associativity(bound: int) -> AssocScan:
 
 
 def _classify(members: tuple[int, ...], universe: list[FinSet],
-              op: list[list[int]], top: int,
-              blames: dict[tuple[int, int], ClosureFailure]) -> SubsetReport:
+              pairs: list[list[ClosureFailure]], top: int) -> SubsetReport:
     """Classify one candidate, scanning pairs in encoding order.
 
     Escape wins over closure; the first offending pair in scan order
@@ -126,26 +125,18 @@ def _classify(members: tuple[int, ...], universe: list[FinSet],
     candidate but (0,) escapes or is not closed by the time x pairs
     with itself, and max(invert(a)) <= max(a) + 1 means no inverse
     escapes before that double does.  (0,) is {{}}, a true subgroup.
-    Members, operands and results are the shared universe FinSets, and
-    each ClosureFailure is built once per search and kept in blames.
+    Members are the shared universe FinSets and the witness comes from
+    pairs: one ClosureFailure per application, in one table.
     """
     fins = tuple(map(universe.__getitem__, members))
-    mask = sum(1 << x for x in members)
-
-    def failure(status, x, y):
-        blame = blames.get((x, y))
-        if blame is None:
-            blame = blames[x, y] = ClosureFailure(
-                "oplus", (universe[x], universe[y]), universe[op[x][y]])
-        return SubsetReport(fins, status, blame)
-
     if members[-1] & top:
         high = next(x for x in members if x & top)
-        return failure("escaping", high, high)
+        return SubsetReport(fins, "escaping", pairs[high][high])
+    mask = sum(1 << x for x in members)
     for i, x in enumerate(members):
         for y in members[i:]:
-            if not mask >> op[x][y] & 1:
-                return failure("not_closed", x, y)
+            if not mask >> pairs[x][y].result.bits & 1:
+                return SubsetReport(fins, "not_closed", pairs[x][y])
     return SubsetReport(fins, "subgroup")
 
 
@@ -157,22 +148,23 @@ def _candidates(n: int, max_size: int) -> Iterator[tuple[int, ...]]:
             yield (0,) + combo
 
 
-def search_closed_subsets(bound: int, max_size: int) -> list[SubsetReport]:
+def search_closed_subsets(bound: int,
+                          max_size: Optional[int] = None) -> list[SubsetReport]:
     """Classify every subset of the universe that contains {}.
 
-    Enumerates all S with {} in S and |S| <= max_size over the universe
-    of subsets of [0, bound), in deterministic order (size, then
-    lexicographic on the sorted encodings), and classifies each.  The
-    candidate count, the sum of C(2**bound - 1, k - 1) over sizes k up
-    to max_size, grows as 2**(2**bound - 1) for full sweeps, so it is
-    capped at MAX_SUBSET_CANDIDATES.  Reports share their sets: one
-    FinSet per universe set and one ClosureFailure per offending
-    application serve every report of a call.
+    Enumerates all S with {} in S and |S| <= max_size (default: the
+    whole universe) over the universe of subsets of [0, bound), in
+    _candidates order, and classifies each.  The candidate count, the
+    sum of C(2**bound - 1, k - 1) over sizes k up to max_size, grows as
+    2**(2**bound - 1) for full sweeps, so it is capped at
+    MAX_SUBSET_CANDIDATES.  Reports share their sets: one FinSet per
+    universe set, and one ClosureFailure per application, in one table.
     """
     if not 0 <= bound <= MAX_SUBSET_BOUND:
         raise RangeError(f"bound {bound} out of range: the subset search is "
                          f"capped at bound {MAX_SUBSET_BOUND}")
     n = 1 << bound
+    max_size = n if max_size is None else max_size
     if not 0 <= max_size <= n:
         raise RangeError(f"max_size {max_size} out of range: a universe of "
                          f"{n} sets admits at most {n} members")
@@ -183,9 +175,9 @@ def search_closed_subsets(bound: int, max_size: int) -> list[SubsetReport]:
                          "max_size")
     # every oplus result of universe sets lies below 2 * n
     universe = [FinSet(x) for x in range(2 * n)]
-    op = [[oplus(a, b).bits for b in universe[:n]] for a in universe[:n]]
-    blames = {}
-    return [_classify(m, universe, op, n >> 1, blames)
+    pairs = [[ClosureFailure("oplus", (a, b), universe[oplus(a, b).bits])
+              for b in universe[:n]] for a in universe[:n]]
+    return [_classify(m, universe, pairs, n >> 1)
             for m in _candidates(n, max_size)]
 
 

@@ -14,17 +14,18 @@ the carry-lookahead (Kogge-Stone parallel-prefix) form of the carry
 recurrence and takes O(log longest run) big-integer steps.
 """
 
-from .bitset import EMPTY, FinSet, intersect, shift_up, sym_diff
+from .adder import approx_add
+from .bitset import EMPTY, FinSet
 
 
 def oplus(a: FinSet, b: FinSet) -> FinSet:
     """Apply one carry round to the pair: (A △ B) △ ((A ∩ B) + 1).
 
-    The symmetric difference plays the role of bitwise XOR and the
-    shifted intersection injects each colliding element as a carry one
-    position higher, without propagating further.
+    This is ``approx_add`` on the encodings: the symmetric difference is
+    XOR and the shifted intersection injects each colliding element as
+    a carry one position higher, without propagating further.
     """
-    return sym_diff(sym_diff(a, b), shift_up(intersect(a, b), 1))
+    return FinSet(approx_add(a.bits, b.bits))
 
 
 def stretch(a: FinSet, n: int) -> int:

@@ -9,7 +9,7 @@ import time
 from contextlib import contextmanager
 
 from carrymagma import (EMPTY, FinSet, approx_add, approx_stats, encode,
-                        invert, iterated_add, knuth_sum, oplus,
+                        intersect, invert, iterated_add, knuth_sum, oplus,
                         scan_associativity, search_closed_subsets, shift_up,
                         solve, stretch, sym_diff)
 from carrymagma.explorer import report_as_dict, search_summary
@@ -89,7 +89,11 @@ def test_criterion_5_one_round_correspondence():
             a = FinSet(a_bits)
             for b_bits in range(1 << 8):
                 b = FinSet(b_bits)
-                assert encode(oplus(a, b)) == approx_add(a_bits, b_bits)
+                c = oplus(a, b)
+                assert encode(c) == approx_add(a_bits, b_bits)
+                # the paper's set formula, built from the set primitives
+                assert c == sym_diff(sym_diff(a, b),
+                                     shift_up(intersect(a, b), 1))
 
 
 def test_criterion_6_carry_iteration_convergence():

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -264,6 +265,47 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1
         assert (proc.returncode, proc.stdout) == (1, "")
         assert "5050445 digits > limit 4300" in proc.stderr
+
+    def test_console_script_lifts_a_lower_python_setting(self):
+        # main() pins the interpreter's limit at 4300 digits, so a lower
+        # setting refuses neither the 904-digit result nor the argument
+        env = cli_env(PYTHONINTMAXSTRDIGITS="640")
+        proc = subprocess.run(
+            [sys.executable, "-m", "carrymagma.cli", "encode", "{3000}"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == str(1 << 3000) + "\n"
+        assert len(proc.stdout) == 904 + 1
+        proc = subprocess.run(
+            [sys.executable, "-m", "carrymagma.cli", "decode", "9" * 700],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == format(decode(10**700 - 1)) + "\n"
+
+    def test_search_bound_checked_before_allocation(self, capsys):
+        # 1 << 99999999999 alone would be a 12.5 GB integer
+        tracemalloc.start()
+        try:
+            code, out, err = invoke(capsys, "search-subgroups", "--bound",
+                                    "99999999999")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (1, "")
+        assert "bound 99999999999 out of range" in err
+        assert peak < 1 << 20
+
+    def test_closed_pipe_ends_quietly(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "carrymagma.cli", "search-subgroups",
+             "--bound", "4"],
+            env=cli_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline().startswith(b'{"size": 1,')
+        proc.stdout.close()  # 6.7 MB of lines remain unread
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""  # no BrokenPipeError traceback
 
     def test_long_integer_argument_names_limit(self, capsys):
         code, out, err = invoke(capsys, "decode", "9" * 4400)

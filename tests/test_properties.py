@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carrymagma import (EMPTY, FinSet, SetLiteralError, approx_add, encode,
-                        exactness, format, invert, iterated_add, knuth_sum,
-                        oplus, orbit, parse, shift_up, solve, stretch)
+                        exactness, format, intersect, invert, iterated_add,
+                        knuth_sum, oplus, orbit, parse, shift_up, solve,
+                        stretch, sym_diff)
 
 import oracles
 
@@ -109,6 +110,14 @@ def big_sets(draw):
 
 
 big = settings(deadline=None)
+
+
+@big
+@given(big_sets(), big_sets())
+def test_oplus_matches_set_formula_on_big_sets(a, b):
+    # (A △ B) △ ((A ∩ B) + 1), built from the set primitives
+    assert oplus(a, b) == sym_diff(sym_diff(a, b),
+                                   shift_up(intersect(a, b), 1))
 
 
 @big
