@@ -1,6 +1,8 @@
 """Finite subsets of the naturals stored as unbounded-int bit masks."""
 
 from dataclasses import dataclass
+from itertools import accumulate, islice, repeat
+from operator import add, lt, sub
 from typing import Collection, Iterable, Iterator
 
 from .errors import SetLiteralError
@@ -11,6 +13,12 @@ from .errors import SetLiteralError
 # it; only sets built from element values are checked.
 MAX_ELEMENT = 2**24
 _CAP_DIGITS = len(str(MAX_ELEMENT))
+
+# Every character of a plain literal body: the ASCII digits, the comma,
+# and the ten ASCII characters for which str.isspace() is true.  int()
+# strips exactly that whitespace and accepts a run of ASCII digits, so on
+# a body of these characters alone it agrees with the per-token rules.
+_PLAIN = "0123456789,\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "
 
 
 def _too_large(element: object) -> SetLiteralError:
@@ -63,13 +71,15 @@ class FinSet:
         return n >= 0 and (self.bits >> n) & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
-        # scan the binary digits once: peeling the lowest bit would copy
-        # the whole int per member
-        low_first = bin(self.bits)[:1:-1]
-        n = low_first.find("1")
-        while n >= 0:
-            yield n
-            n = low_first.find("1", n + 1)
+        # Split the binary digits at the members and put the parts low
+        # first: gap k is the run of non-members below member k, so member
+        # k is the running sum of len(gap) + 1 up to k, minus 1.  The work
+        # per member runs in C, and the members are produced lazily.
+        gaps = bin(self.bits)[2:].split("1")
+        gaps.reverse()
+        gaps.pop()  # the empty part above the top member
+        return map(sub, accumulate(map(add, map(len, gaps), repeat(1))),
+                   repeat(1))
 
     def __len__(self) -> int:
         return self.bits.bit_count()
@@ -118,8 +128,30 @@ def parse(text: str) -> FinSet:
     body = body.strip()
     if not body:
         return EMPTY
+    tokens = body.split(",")
+    # Fast path.  On a body of _PLAIN characters with no token longer
+    # than _CAP_DIGITS, int() accepts exactly the tokens the loop below
+    # accepts, at a bounded cost per token even where the int/str digit
+    # limit is lifted.  Sorted elements that strictly ascend to a top
+    # below the cap give the loop's result; sorting finds repeats without
+    # a set, which would cost more memory than the loop's own.  Any other
+    # body falls through.
+    if not body.rstrip(_PLAIN) and max(map(len, tokens)) <= _CAP_DIGITS:
+        try:
+            elements = list(map(int, tokens))
+        except ValueError:  # an empty or blank token, or a space inside one
+            pass
+        else:
+            elements.sort()
+            if (elements[-1] < MAX_ELEMENT
+                    and all(map(lt, elements, islice(elements, 1, None)))):
+                return FinSet(_mask(elements))
+    # The loop checks token by token, so its error names the first
+    # offender in listing order.  It also takes the rarer valid
+    # spellings: non-ASCII whitespace, and tokens padded past
+    # _CAP_DIGITS characters.
     seen = set()
-    for token in body.split(","):
+    for token in tokens:
         token = token.strip()
         if not (token.isascii() and token.isdigit()):
             raise SetLiteralError(f"invalid element {token!r} in set literal: "

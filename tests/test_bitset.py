@@ -1,5 +1,8 @@
 """Set representation, literals, and the primitive operations."""
 
+import sys
+import time
+
 import pytest
 
 from carrymagma import (EMPTY, FinSet, SetLiteralError, decode, encode,
@@ -62,6 +65,21 @@ class TestParse:
         with pytest.raises(SetLiteralError, match="too large"):
             parse("{" + "9" * 5000 + "}")
 
+    def test_long_token_cheap_without_int_digit_limit(self):
+        # int() is quadratic in the digits once the limit is lifted, so a
+        # long token must be refused before any conversion
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this Python has no int/str digit limit")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            start = time.perf_counter()
+            with pytest.raises(SetLiteralError, match="too large"):
+                parse("{" + "9" * 1_000_000 + "}")
+            assert time.perf_counter() - start < 1.0
+        finally:
+            sys.set_int_max_str_digits(limit)
+
 
 class TestFormat:
     def test_empty(self):
@@ -86,6 +104,13 @@ class TestFinSet:
         assert list(a) == [0, 2, 7]
         assert len(a) == 3
         assert 2 in a and 3 not in a and -1 not in a
+
+    @pytest.mark.parametrize("members", [[], [0], [2**24 - 1],
+                                         [0, 2**24 - 1]])
+    def test_iteration_and_format_at_the_cap(self, members):
+        a = FinSet.of(*members)
+        assert list(a) == members
+        assert format(a) == "{" + ",".join(map(str, members)) + "}"
 
     def test_min_max(self):
         a = FinSet.of(4, 9, 2)

@@ -1,7 +1,7 @@
 """Randomized laws on sets too large for the exhaustive windows."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from carrymagma import (EMPTY, FinSet, SetLiteralError, approx_add, encode,
@@ -11,6 +11,7 @@ from carrymagma import (EMPTY, FinSet, SetLiteralError, approx_add, encode,
 
 import oracles
 
+big = settings(deadline=None)
 finsets = st.builds(
     FinSet.from_iterable,
     st.frozensets(st.integers(min_value=0, max_value=120), max_size=40))
@@ -22,13 +23,86 @@ def test_parse_format_round_trip(a):
     assert parse(format(a)) == a
 
 
-@given(st.lists(st.integers(0, 200), unique=True, max_size=25),
-       st.randoms(use_true_random=False))
-def test_parse_ignores_listing_order(elements, rng):
-    shuffled = elements[:]
-    rng.shuffle(shuffled)
-    literal = ",".join(str(n) for n in shuffled)
-    assert parse(literal) == FinSet.from_iterable(elements)
+LITERAL_BITS = 20_000
+# what str.strip() removes: the ten ASCII characters, then one that is not
+# ASCII, which only the per-token loop of parse accepts
+PADDINGS = ["", " ", "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f ", "\u3000 "]
+
+
+@st.composite
+def spellings(draw):
+    """Elements below 20k bits in random order, and one token for each.
+
+    A token may be padded from one of PADDINGS or zero-filled past the
+    eight characters of the largest element, each for a drawn share of
+    the tokens; with both shares 0 the literal is plain.
+    """
+    mask = int.from_bytes(draw(st.binary(max_size=LITERAL_BITS // 8)),
+                          "little")
+    elements = oracles.positions(mask)
+    rng = draw(st.randoms(use_true_random=False))
+    rng.shuffle(elements)
+    padding = draw(st.sampled_from(PADDINGS))
+    pad_share = draw(st.sampled_from([0, 0.1, 1])) if padding else 0
+    zero_share = draw(st.sampled_from([0, 0.01, 1]))
+    tokens = []
+    for n in elements:
+        token = str(n)
+        if rng.random() < zero_share:
+            token = token.zfill(rng.randint(9, 12))
+        if rng.random() < pad_share:
+            token = (rng.choice(padding) + token
+                     + rng.choice(padding) * rng.randint(0, 2))
+        tokens.append(token)
+    return elements, tokens, draw(st.booleans()), rng
+
+
+def spell(tokens, braced):
+    body = ",".join(tokens)
+    return "{" + body + "}" if braced else body
+
+
+@big
+@given(spellings())
+def test_parse_ignores_listing_order(spelled):
+    elements, tokens, braced, _ = spelled
+    assert parse(spell(tokens, braced)) == FinSet.of(*elements)
+
+
+# (token, element value or None when malformed)
+FAULTS = [("+5", None), ("1_0", None), ("\u0663", None), ("", None),
+          (str(2**24), 2**24), ("99999999", 99999999), ("duplicate", None)]
+
+
+@big
+@given(spellings(), st.lists(st.sampled_from(FAULTS), min_size=1,
+                             max_size=2))
+def test_parse_names_first_faulty_token(spelled, faults):
+    elements, tokens, braced, rng = spelled
+    labelled = list(zip(tokens, elements))
+    for fault in faults:
+        if fault[0] == "duplicate":  # two more of a listed token, or of 0
+            fault = rng.choice(labelled or [("0", 0)])
+            labelled.insert(rng.randint(0, len(labelled)), fault)
+        labelled.insert(rng.randint(0, len(labelled)), fault)
+    literal = spell([token for token, _ in labelled], braced)
+    assume(literal.strip("{}").strip())  # a lone blank token is {}
+    seen = set()
+    for token, n in labelled:
+        named = token.strip()
+        if n is None:
+            expected = f"invalid element {named!r} in"
+        elif n >= 2**24:
+            expected = f"element {named} is too large"
+        elif n in seen:
+            expected = f"duplicate element {named!r} in"
+        else:
+            seen.add(n)
+            continue
+        break
+    with pytest.raises(SetLiteralError) as excinfo:
+        parse(literal)
+    assert expected in str(excinfo.value)
 
 
 @given(finsets, finsets)
@@ -109,9 +183,6 @@ def big_sets(draw):
     return FinSet(bits & ((1 << BIG) - 1))
 
 
-big = settings(deadline=None)
-
-
 @big
 @given(big_sets(), big_sets())
 def test_oplus_matches_set_formula_on_big_sets(a, b):
@@ -155,7 +226,9 @@ def test_inverse_and_orbit_stay_within_one_bit_on_big_sets(a, k):
 @big
 @given(big_sets())
 def test_iteration_and_format_round_trip_on_big_sets(a):
-    assert list(a) == oracles.positions(a.bits)
+    members = oracles.positions(a.bits)
+    assert list(a) == members
+    assert format(a) == "{" + ",".join(map(str, members)) + "}"
     assert parse(format(a)) == a
 
 
