@@ -8,10 +8,11 @@ classified as escaping rather than silently truncated, since truncation
 would fabricate closure that does not exist over the full naturals.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .bitset import FinSet, format
 from .errors import RangeError
@@ -112,26 +113,14 @@ def scan_associativity(bound: int) -> AssocScan:
     return AssocScan(total, total - _associative_triples(bound), witness)
 
 
-def _classify(members: tuple[int, ...], universe: list[FinSet],
-              pairs: list[list[ClosureFailure]], top: int) -> SubsetReport:
-    """Classify one candidate, scanning pairs in encoding order.
-
-    Escape wins over closure; the first offending pair in scan order
-    becomes the witness.  top is bit bound - 1 (0 at bound 0): x ⊕ y =
-    (x ^ y) ^ ((x & y) << 1) leaves the universe iff x & y holds top, so
-    a candidate escapes iff its largest member does, first at (H, H),
-    H the least member holding top.  Inverses and associativity need no
-    check: x ⊕ x = x << 1 for the largest non-empty member x, so every
-    candidate but (0,) escapes or is not closed by the time x pairs
-    with itself, and max(invert(a)) <= max(a) + 1 means no inverse
-    escapes before that double does.  (0,) is {{}}, a true subgroup.
-    Members are the shared universe FinSets and the witness comes from
-    pairs: one ClosureFailure per application, in one table.
-    """
-    fins = tuple(map(universe.__getitem__, members))
-    if members[-1] & top:
-        high = next(x for x in members if x & top)
-        return SubsetReport(fins, "escaping", pairs[high][high])
+def _classify(fins: tuple[FinSet, ...], members: tuple[int, ...],
+              pairs: list[list[ClosureFailure]]) -> SubsetReport:
+    """Classify a candidate whose members all lie below top, so no pair
+    escapes: the first pair in encoding order whose result is not a
+    member is the witness.  x ⊕ x = x << 1 for the largest non-empty
+    member x, so every candidate but (0,) = {{}} is not closed by then,
+    and inverses and associativity need no check.  fins are the members'
+    shared universe FinSets."""
     mask = sum(1 << x for x in members)
     for i, x in enumerate(members):
         for y in members[i:]:
@@ -140,24 +129,21 @@ def _classify(members: tuple[int, ...], universe: list[FinSet],
     return SubsetReport(fins, "subgroup")
 
 
-def _candidates(n: int, max_size: int) -> Iterator[tuple[int, ...]]:
-    """Candidate member tuples: {} plus up to max_size-1 other universe
-    sets, by size then lexicographic on the encoding tuple."""
-    for size in range(1, max_size + 1):
-        for combo in combinations(range(1, n), size - 1):
-            yield (0,) + combo
-
-
 def search_closed_subsets(bound: int,
                           max_size: Optional[int] = None) -> list[SubsetReport]:
     """Classify every subset of the universe that contains {}.
 
     Enumerates all S with {} in S and |S| <= max_size (default: the
-    whole universe) over the universe of subsets of [0, bound), in
-    _candidates order, and classifies each.  The candidate count, the
+    whole universe) over the universe of subsets of [0, bound), by size
+    then lexicographic on the encoding tuple.  The candidate count, the
     sum of C(2**bound - 1, k - 1) over sizes k up to max_size, grows as
     2**(2**bound - 1) for full sweeps, so it is capped at
-    MAX_SUBSET_CANDIDATES.  Reports share their sets: one FinSet per
+    MAX_SUBSET_CANDIDATES.  x ⊕ y leaves the universe iff x & y holds
+    top, bit bound - 1 (0 at bound 0), and no inverse escapes first, as
+    max(invert(a)) <= max(a) + 1: a candidate escapes iff its largest
+    member holds top, first at (H, H), H the least member that does, in
+    O(1) steps.  Only the 2**(n/2 - 1) at most below top get a pair
+    scan (n = 2**bound >= 2).  Reports share their sets: one FinSet per
     universe set, and one ClosureFailure per application, in one table.
     """
     if not 0 <= bound <= MAX_SUBSET_BOUND:
@@ -177,8 +163,19 @@ def search_closed_subsets(bound: int,
     universe = [FinSet(x) for x in range(2 * n)]
     pairs = [[ClosureFailure("oplus", (a, b), universe[oplus(a, b).bits])
               for b in universe[:n]] for a in universe[:n]]
-    return [_classify(m, universe, pairs, n >> 1)
-            for m in _candidates(n, max_size)]
+    top = n >> 1
+    empty = (universe[0],)
+    out = []
+    for k in range(max_size):
+        for fins, xs in zip(combinations(universe[1:n], k),
+                            combinations(range(1, n), k)):
+            if xs and xs[-1] & top:
+                h = xs[bisect_left(xs, top)]
+                out.append(SubsetReport(empty + fins, "escaping",
+                                        pairs[h][h]))
+            else:
+                out.append(_classify(empty + fins, (0, *xs), pairs))
+    return out
 
 
 def orbit(a: FinSet, k: int) -> list[FinSet]:
@@ -226,17 +223,20 @@ def witness_as_dict(w: Witness) -> dict:
 
 
 def failure_as_dict(f: ClosureFailure) -> dict:
-    *operands, result = _literals(f.operands + (f.result,))
-    return {"operation": f.operation, "operands": operands,
-            "result": result}
+    try:
+        operands = [_LITERALS[a.bits] for a in f.operands]
+        result = _LITERALS[f.result.bits]
+    except IndexError:
+        operands, result = list(map(format, f.operands)), format(f.result)
+    return {"operation": f.operation, "operands": operands, "result": result}
 
 
 def report_as_dict(r: SubsetReport) -> dict:
+    w = r.witness
     return {"size": len(r.members),
             "members": _literals(r.members),
             "status": r.status,
-            "witness": (None if r.witness is None
-                        else failure_as_dict(r.witness))}
+            "witness": None if w is None else failure_as_dict(w)}
 
 
 def search_summary(reports: list[SubsetReport]) -> dict:

@@ -8,6 +8,8 @@ that counts the same triples.  Nothing here imports carrymagma,
 so a test never checks an operation against itself.
 """
 
+from math import comb
+
 
 def positions(a: int) -> list[int]:
     """Ascending member positions, one shift-and-test per position."""
@@ -146,6 +148,27 @@ def candidates(bound: int, max_size: int) -> list[tuple[int, ...]]:
                  for c in layer for x in range(1, n) if x not in c}
         found |= layer
     return sorted(found, key=lambda c: (len(c), c))
+
+
+def search_totals(bound: int, max_size: int) -> dict:
+    """The subset search's totals line by counting subsets, not
+    classifying them.
+
+    A candidate escapes iff its largest member holds bit bound - 1, {{}}
+    is the one subgroup, and every other candidate is not_closed.  With
+    n = 2**bound and h = n/2 (h = 1 at bound 0), the candidates number
+    the sum of C(n - 1, k - 1) over sizes k up to max_size, and those
+    with every member below h the sum of C(h - 1, k - 1).
+    """
+    n = 1 << bound
+    h = max(n >> 1, 1)
+    candidates = sum(comb(n - 1, k - 1) for k in range(1, max_size + 1))
+    inside = sum(comb(h - 1, k - 1) for k in range(1, max_size + 1))
+    subgroup = 1 if max_size >= 1 else 0
+    return {"candidates": candidates, "subgroup": subgroup,
+            "escaping": candidates - inside,
+            "not_closed": inside - subgroup,
+            "not_inverse_closed": 0, "non_associative": 0}
 
 
 def classify(members: tuple[int, ...], bound: int) -> tuple[str, tuple | None]:

@@ -9,8 +9,10 @@ from carrymagma import (EMPTY, FinSet, RangeError, assoc_witness, format,
                         search_closed_subsets)
 from carrymagma import explorer
 from carrymagma.explorer import (MAX_ORBIT_BITS, MAX_SUBSET_BOUND,
-                                 MAX_SUBSET_CANDIDATES, report_as_dict,
-                                 search_summary, witness_as_dict)
+                                 MAX_SUBSET_CANDIDATES, ClosureFailure,
+                                 SubsetReport, failure_as_dict,
+                                 report_as_dict, search_summary,
+                                 witness_as_dict)
 
 import oracles
 
@@ -215,13 +217,27 @@ class TestSearchAgainstOracle:
             w.operation, tuple(x.bits for x in w.operands), w.result.bits)
         return tuple(m.bits for m in report.members), report.status, blame
 
-    @pytest.mark.parametrize("bound, max_size", [(3, 8), (4, 4), (5, 3),
-                                                 (5, 5)])
+    # (4, 16) is the benchmark's own search; the max_size 0 sweeps are empty
+    @pytest.mark.parametrize("bound, max_size", [(0, 0), (3, 0), (5, 0),
+                                                 (3, 8), (4, 4), (4, 16),
+                                                 (5, 3), (5, 5)])
     def test_sweep_matches_plain_int_classifier(self, bound, max_size):
         got = [self.plain(r) for r in search_closed_subsets(bound, max_size)]
         want = [(c, *oracles.classify(c, bound))
                 for c in oracles.candidates(bound, max_size)]
         assert got == want
+
+    @pytest.mark.parametrize("bound", range(MAX_SUBSET_BOUND + 1))
+    def test_totals_match_closed_form(self, bound):
+        # every max_size the candidate cap admits; past it, a RangeError
+        for max_size in range((1 << bound) + 1):
+            want = oracles.search_totals(bound, max_size)
+            if want["candidates"] > MAX_SUBSET_CANDIDATES:
+                with pytest.raises(RangeError):
+                    search_closed_subsets(bound, max_size)
+            else:
+                assert search_summary(
+                    search_closed_subsets(bound, max_size)) == want
 
     # the theorem the search's two checks rest on: a ⊕ a = a << 1, so the
     # largest non-empty member's double escapes or is missing, and the
@@ -290,6 +306,21 @@ class TestLiterals:
         table = explorer._LITERALS
         assert len(table) == 2 << MAX_SUBSET_BOUND
         assert table == [format(FinSet(x)) for x in range(len(table))]
+
+    def test_report_renderers_fall_back_to_format(self):
+        # operands beyond the table, and operands in it with the result
+        # {6} = {5} ⊕ {5} one bit past it
+        big, five = FinSet.of(1000), FinSet.of(5)
+        for members, x in [((big, FinSet.of(1002)), big),
+                           ((EMPTY, five), five)]:
+            f = ClosureFailure("oplus", (x, x), oplus(x, x))
+            want = {"operation": "oplus", "operands": [format(x)] * 2,
+                    "result": format(f.result)}
+            assert failure_as_dict(f) == want
+            r = SubsetReport(members, "not_closed", f)
+            assert report_as_dict(r) == {
+                "size": 2, "members": [format(m) for m in members],
+                "status": "not_closed", "witness": want}
 
     def test_sets_beyond_the_table_use_format(self):
         w = assoc_witness(FinSet.of(1000), FinSet.of(1000), FinSet.of(1001))
