@@ -65,6 +65,7 @@ def exactness(a: int, b: int) -> bool:
     return (a ^ b) & ((a & b) << 1) == 0
 
 
+# a dataclass: adder-stats and the benchmark render it with dataclasses.asdict
 @dataclass(frozen=True)
 class WordStats:
     """Exactness statistics of approx_add over all pairs of w-bit words."""

@@ -35,6 +35,7 @@ def _mask(elements: Collection[int]) -> int:
     return int.from_bytes(buf, "little")
 
 
+# a dataclass: a tuple's iter, len, `in` and order would clash with its own
 @dataclass(frozen=True, order=True)
 class FinSet:
     """A finite set of natural numbers.

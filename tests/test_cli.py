@@ -136,6 +136,15 @@ class TestExplorerVerbs:
         assert hashlib.sha256(out).hexdigest() == (
             "aa855a1ce8ce987ada2df4a0ef84daec78af976567e57c2dd0314425c5b0391e")
 
+    def test_search_subgroups_bound_five_bytes_pinned(self, capsys):
+        # the one pin whose literals reach sets 32-63 of the table
+        code = run(["search-subgroups", "--bound", "5", "--max-size", "3"])
+        out = capsys.readouterr().out.encode()
+        assert code == 0
+        assert len(out) == 80_869
+        assert hashlib.sha256(out).hexdigest() == (
+            "879113183bf38e5c33d16abd9aa599287d3b54211d861c1705a346d1ed2b96b6")
+
     def test_adder_stats_object_and_key_order(self, capsys):
         code, out, _ = invoke(capsys, "adder-stats", "2")
         assert code == 0
