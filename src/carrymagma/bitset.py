@@ -1,7 +1,7 @@
 """Finite subsets of the naturals stored as unbounded-int bit masks."""
 
 from dataclasses import dataclass
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, compress, count, islice, repeat
 from operator import add, lt, sub
 from typing import Collection, Iterable, Iterator
 
@@ -18,7 +18,21 @@ _CAP_DIGITS = len(str(MAX_ELEMENT))
 # and the ten ASCII characters for which str.isspace() is true.  int()
 # strips exactly that whitespace and accepts a run of ASCII digits, so on
 # a body of these characters alone it agrees with the per-token rules.
-_PLAIN = "0123456789,\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "
+_PLAIN = b"0123456789,\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "
+
+# A set with at least one member per _SPARSEST positions is dense: its
+# text and its int go through a view with one byte per position, which
+# is then never more than _SPARSEST bytes per member.  Sparser sets keep
+# per-member steps, so a lone large member never costs a byte per bit.
+_SPARSEST = 4
+_VIEW = bytes.maketrans(b"01", b"\x00\x01")
+
+# A dense set is written one block of 1000 positions at a time: block
+# q > 0 writes str(q) before each member's three zero-padded low digits,
+# block 0 the low digits alone.
+_BLOCK = 1000
+_LOW = tuple(map(str, range(_BLOCK)))
+_PADDED = tuple(s.zfill(3) for s in _LOW)
 
 
 def _too_large(element: object) -> SetLiteralError:
@@ -26,10 +40,43 @@ def _too_large(element: object) -> SetLiteralError:
                            f"be below MAX_ELEMENT = {MAX_ELEMENT}")
 
 
+def _dense(members: int, top: int) -> bool:
+    """Whether a set of this many members, the largest top, is dense."""
+    return 0 < members and top < _SPARSEST * members
+
+
+def _view(bits: int) -> bytes:
+    """Byte n is 1 if n is a member and 0 if not, up to the top member."""
+    return bin(bits)[:1:-1].encode().translate(_VIEW)
+
+
+def _split(bits: int) -> Iterator[int]:
+    """The members in ascending order, for a set too sparse for a view.
+
+    Split the binary digits at the members and put the parts low first:
+    gap k is the run of non-members below member k, so member k is the
+    running sum of len(gap) + 1 up to k, minus 1.  The work per member
+    runs in C, and the members are produced lazily.
+    """
+    gaps = bin(bits)[2:].split("1")
+    gaps.reverse()
+    gaps.pop()  # the empty part above the top member
+    return map(sub, accumulate(map(add, map(len, gaps), repeat(1))),
+               repeat(1))
+
+
 def _mask(elements: Collection[int]) -> int:
-    """The int with bit n set for each n, in one pass over a byte buffer,
-    so the cost is linear in the elements and the largest one."""
-    buf = bytearray(max(elements, default=-1) // 8 + 1)
+    """The int with bit n set for each n, in one pass over a buffer, so
+    the cost is linear in the elements and the largest one."""
+    top = max(elements, default=-1)
+    if _dense(len(elements), top):
+        # one binary digit per position, read back by int() in C
+        digits = bytearray(b"0") * (top + 1)
+        for n in elements:
+            digits[n] = 49  # ord("1")
+        digits.reverse()
+        return int(digits, 2)
+    buf = bytearray(top // 8 + 1)
     for n in elements:
         buf[n >> 3] |= 1 << (n & 7)
     return int.from_bytes(buf, "little")
@@ -72,15 +119,10 @@ class FinSet:
         return n >= 0 and (self.bits >> n) & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
-        # Split the binary digits at the members and put the parts low
-        # first: gap k is the run of non-members below member k, so member
-        # k is the running sum of len(gap) + 1 up to k, minus 1.  The work
-        # per member runs in C, and the members are produced lazily.
-        gaps = bin(self.bits)[2:].split("1")
-        gaps.reverse()
-        gaps.pop()  # the empty part above the top member
-        return map(sub, accumulate(map(add, map(len, gaps), repeat(1))),
-                   repeat(1))
+        bits = self.bits
+        if _dense(bits.bit_count(), bits.bit_length() - 1):
+            return compress(count(), _view(bits))
+        return _split(bits)
 
     def __len__(self) -> int:
         return self.bits.bit_count()
@@ -136,8 +178,10 @@ def parse(text: str) -> FinSet:
     # limit is lifted.  Sorted elements that strictly ascend to a top
     # below the cap give the loop's result; sorting finds repeats without
     # a set, which would cost more memory than the loop's own.  Any other
-    # body falls through.
-    if not body.rstrip(_PLAIN) and max(map(len, tokens)) <= _CAP_DIGITS:
+    # body falls through.  The plain check deletes every _PLAIN byte in
+    # one pass; isascii() goes first, as encode() refuses a lone surrogate.
+    if (body.isascii() and not body.encode().translate(None, _PLAIN)
+            and max(map(len, tokens)) <= _CAP_DIGITS):
         try:
             elements = list(map(int, tokens))
         except ValueError:  # an empty or blank token, or a space inside one
@@ -170,7 +214,20 @@ def parse(text: str) -> FinSet:
 
 def format(a: FinSet) -> str:
     """Canonical literal: ascending elements, comma-separated, braced."""
-    return "{" + ",".join(map(str, a)) + "}"
+    bits = a.bits
+    if not _dense(bits.bit_count(), bits.bit_length() - 1):
+        return "{" + ",".join(map(str, _split(bits))) + "}"
+    view = _view(bits)
+    parts = []
+    start = view.find(1)
+    while start >= 0:
+        q = start // _BLOCK
+        end = (q + 1) * _BLOCK
+        prefix = str(q) if q else ""
+        low = compress(_PADDED if q else _LOW, view[end - _BLOCK:end])
+        parts.append(prefix + ("," + prefix).join(low))
+        start = view.find(1, end)
+    return "{" + ",".join(parts) + "}"
 
 
 def sym_diff(a: FinSet, b: FinSet) -> FinSet:

@@ -2,12 +2,16 @@
 
 import sys
 import time
+from itertools import starmap, zip_longest
+from operator import eq
 
 import pytest
 
 from carrymagma import (EMPTY, FinSet, SetLiteralError, decode, encode,
                         format, intersect, parse, shift_up, sym_diff)
-from carrymagma.bitset import MAX_ELEMENT
+from carrymagma.bitset import MAX_ELEMENT, _dense, _mask, _SPARSEST
+
+import oracles
 
 
 def members(universe: int, bits: int) -> set[int]:
@@ -94,6 +98,73 @@ class TestFormat:
             assert parse(format(a)) == a
 
 
+def literal(members) -> str:
+    return "{" + ",".join(map(str, members)) + "}"
+
+
+def every_fourth(stop: int) -> int:
+    """The mask of 3, 7, 11, ... below stop: (16**k - 1) // 15 sets every
+    fourth bit from 0, k times."""
+    k = len(range(3, stop, 4))
+    return (16**k - 1) // 15 << 3
+
+
+class TestDenseView:
+    """Sets with at least one member per _SPARSEST positions are written,
+    iterated and built through a byte per position; sparser ones are not."""
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 250, 1000])
+    @pytest.mark.parametrize("excess", [-1, 0, 1])
+    def test_both_sides_of_the_density_rule(self, count, excess):
+        # count * _SPARSEST is top - 1, top or top + 1; only the last is dense
+        top = count * _SPARSEST - excess
+        members = [*range(count - 1), top]
+        assert _dense(count, top) == (excess == 1)
+        bits = sum(1 << n for n in members)
+        a = FinSet(bits)
+        assert list(a) == oracles.positions(bits) == members
+        assert format(a) == literal(members)
+        assert parse(format(a)) == a
+        assert _mask(members) == bits
+
+    def test_every_fourth_is_the_sum_of_its_bits(self):
+        for stop in range(40):
+            assert every_fourth(stop) == sum(1 << n for n in range(3, stop, 4))
+
+    @pytest.mark.parametrize("edge", [999, 1000, 1001, 9999, 10000, 999999,
+                                      1000000])
+    def test_block_edges(self, edge):
+        # every fourth position, then a run from edge - 3 to edge + 1
+        members = [*range(3, edge - 3, 4), *range(edge - 3, edge + 2)]
+        assert _dense(len(members), edge + 1)
+        bits = every_fourth(edge - 3) | (1 << edge + 2) - (1 << edge - 3)
+        a = FinSet(bits)
+        assert list(a) == members
+        assert format(a) == literal(members)
+        assert parse(format(a)) == a
+        assert _mask(members) == bits
+
+    def test_block_edge_at_the_cap(self):
+        # the densest set that is still dense with its top at the cap,
+        # checked without a list of its 4,194,304 members
+        members = range(3, MAX_ELEMENT, 4)
+        assert members[-1] == MAX_ELEMENT - 1
+        assert _dense(len(members), members[-1])
+        bits = every_fourth(MAX_ELEMENT)
+        assert _mask(members) == bits
+        a = FinSet(bits)
+        assert all(starmap(eq, zip_longest(a, members)))
+        # literal(members) a slice of members at a time: each slice's text
+        # in place, and a comma between slices
+        text, pos = format(a), 1
+        for i in range(0, len(members), 1 << 16):
+            piece = literal(members[i:i + (1 << 16)])[1:-1]
+            assert text.startswith(piece, pos)
+            pos += len(piece) + 1
+        assert (text[0], pos) == ("{", len(text))
+        assert text.count(",") == len(members) - 1 and text[-1] == "}"
+
+
 class TestFinSet:
     def test_extensional_equality_is_structural(self):
         assert FinSet.of(1, 2) == sym_diff(FinSet.of(1), FinSet.of(2))
@@ -109,8 +180,10 @@ class TestFinSet:
                                          [0, 2**24 - 1]])
     def test_iteration_and_format_at_the_cap(self, members):
         a = FinSet.of(*members)
+        assert a.bits == _mask(members) == sum(1 << n for n in members)
         assert list(a) == members
         assert format(a) == "{" + ",".join(map(str, members)) + "}"
+        assert parse(format(a)) == a
 
     def test_min_max(self):
         a = FinSet.of(4, 9, 2)

@@ -1,5 +1,7 @@
 """Randomized laws on sets too large for the exhaustive windows."""
 
+import random
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -230,6 +232,28 @@ def test_iteration_and_format_round_trip_on_big_sets(a):
     assert list(a) == members
     assert format(a) == "{" + ",".join(map(str, members)) + "}"
     assert parse(format(a)) == a
+
+
+@st.composite
+def spread_sets(draw):
+    """Ascending members below 20k bits, one per 1 to 64 positions with
+    the spacing log-uniform, so sets fall on both sides of the density
+    rule of format and parse."""
+    size = draw(st.integers(1, LITERAL_BITS))
+    spacing = 2 ** draw(st.floats(0, 6))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return sorted(rng.sample(range(size), max(1, int(size / spacing))))
+
+
+@big
+@given(spread_sets())
+def test_text_iteration_and_mask_across_densities(members):
+    bits = sum(1 << n for n in members)
+    a = FinSet(bits)
+    assert list(a) == members
+    assert format(a) == "{" + ",".join(map(str, members)) + "}"
+    assert parse(format(a)) == a
+    assert FinSet.of(*members).bits == bits
 
 
 @big
