@@ -1,16 +1,18 @@
 """Finite subsets of the naturals stored as unbounded-int bit masks."""
 
 from dataclasses import dataclass
-from itertools import accumulate, compress, count, islice, repeat
-from operator import add, lt, sub
+from itertools import compress, count, islice
+from operator import lt
 from typing import Collection, Iterable, Iterator
 
 from .errors import SetLiteralError
 
 # Elements must be below this cap.  A set's integer needs one bit per
 # position up to its largest element, so the cap bounds an input set at
-# 2 MB however its literal is written.  Results of operations may exceed
-# it; only sets built from element values are checked.
+# 2 MB however its literal is written, and the byte-per-position view
+# that its text and iteration go through at 16 MB.  Results of
+# operations may exceed it; only sets built from element values are
+# checked.
 MAX_ELEMENT = 2**24
 _CAP_DIGITS = len(str(MAX_ELEMENT))
 
@@ -20,21 +22,21 @@ _CAP_DIGITS = len(str(MAX_ELEMENT))
 # a body of these characters alone it agrees with the per-token rules.
 _PLAIN = b"0123456789,\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "
 
-# A set with at least one member per _SPARSEST positions is dense: its
-# text and its int go through a view with one byte per position, which
-# is then never more than _SPARSEST bytes per member.  Sparser sets keep
-# per-member steps.  Measured per operation, the view is the faster
-# path up to about one member per 6 positions for iteration, which makes
-# an int per position, and per 30 for format and for parse's int; but
-# parse's digit buffer is a byte per position where the bit buffer is an
-# eighth of one, and at one member per 8 positions it raised parse's
-# peak memory by 5%.  4 is within all three bounds.
+# A set with at least one member per _SPARSEST positions is dense.
+# _mask, the one place that asks, builds a dense set's int from a digit
+# buffer of one byte per position, so never more than _SPARSEST bytes
+# per member, and a sparser set's from a bit buffer of an eighth of a
+# byte per position.  The digits are the faster buffer up to about one
+# member per 30 positions, but at one per 8 they raised parse's peak
+# memory by 5%, and on {16777215} the bits take 2–4 ms and 6 MiB where
+# the digits would take 45–60 ms and 18 MiB.
 _SPARSEST = 4
-_VIEW = bytes.maketrans(b"01", b"\x00\x01")
 
-# A dense set is written one block of 1000 positions at a time: block
-# q > 0 writes str(q) before each member's three zero-padded low digits,
+# Text and iteration read a set through _view, one byte per position.
+# A set is written one block of 1000 positions at a time: block q > 0
+# writes str(q) before each member's three zero-padded low digits,
 # block 0 the low digits alone.
+_VIEW = bytes.maketrans(b"01", b"\x00\x01")
 _BLOCK = 1000
 _LOW = tuple(map(str, range(_BLOCK)))
 _PADDED = tuple(s.zfill(3) for s in _LOW)
@@ -53,21 +55,6 @@ def _dense(members: int, top: int) -> bool:
 def _view(bits: int) -> bytes:
     """Byte n is 1 if n is a member and 0 if not, up to the top member."""
     return bin(bits)[:1:-1].encode().translate(_VIEW)
-
-
-def _split(bits: int) -> Iterator[int]:
-    """The members in ascending order, for a set too sparse for a view.
-
-    Split the binary digits at the members and put the parts low first:
-    gap k is the run of non-members below member k, so member k is the
-    running sum of len(gap) + 1 up to k, minus 1.  The work per member
-    runs in C, and the members are produced lazily.
-    """
-    gaps = bin(bits)[2:].split("1")
-    gaps.reverse()
-    gaps.pop()  # the empty part above the top member
-    return map(sub, accumulate(map(add, map(len, gaps), repeat(1))),
-               repeat(1))
 
 
 def _mask(elements: Collection[int]) -> int:
@@ -124,10 +111,7 @@ class FinSet:
         return n >= 0 and (self.bits >> n) & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
-        bits = self.bits
-        if _dense(bits.bit_count(), bits.bit_length() - 1):
-            return compress(count(), _view(bits))
-        return _split(bits)
+        return compress(count(), _view(self.bits))
 
     def __len__(self) -> int:
         return self.bits.bit_count()
@@ -151,7 +135,7 @@ class FinSet:
         return format(self)
 
     def __repr__(self) -> str:
-        return f"FinSet.of({', '.join(map(str, self))})"
+        return "FinSet.of(" + format(self)[1:-1].replace(",", ", ") + ")"
 
 
 EMPTY = FinSet(0)
@@ -219,13 +203,7 @@ def parse(text: str) -> FinSet:
 
 def format(a: FinSet) -> str:
     """Canonical literal: ascending elements, comma-separated, braced."""
-    bits = a.bits
-    # The block walk below spends about 10 us on each 1000-position block
-    # with a member, so on a set with a member or two per block the split
-    # is four times faster, and on {16777215} 1.3 times.
-    if not _dense(bits.bit_count(), bits.bit_length() - 1):
-        return "{" + ",".join(map(str, _split(bits))) + "}"
-    view = _view(bits)
+    view = _view(a.bits)
     parts = []
     start = view.find(1)
     while start >= 0:

@@ -97,9 +97,33 @@ class TestFormat:
             a = FinSet(bits)
             assert parse(format(a)) == a
 
+    def test_one_member_per_block_up_to_the_cap(self):
+        # each 1000-position block holds one member, at an offset that
+        # cycles through the one-, two- and three-digit edges of the tables
+        offsets = (0, 1, 9, 10, 99, 100, 999)
+        members = [n for q in range(MAX_ELEMENT // 1000 + 1)
+                   if (n := q * 1000 + offsets[q % 7]) < MAX_ELEMENT]
+        assert members[-1] == 16777100
+        a = FinSet.of(*members)
+        assert a.bits == mask_by_gaps(members)
+        assert format(a) == literal(members)
+        assert list(a) == members
+        assert repr(a) == "FinSet.of(" + ", ".join(map(str, members)) + ")"
+        assert parse(format(a)) == a
+
 
 def literal(members) -> str:
     return "{" + ",".join(map(str, members)) + "}"
+
+
+def mask_by_gaps(members) -> int:
+    """The mask of ascending members from its binary digits, written low
+    first as each member's run of zeros and its 1: linear in the top."""
+    digits, last = [], -1
+    for n in members:
+        digits.append("0" * (n - last - 1) + "1")
+        last = n
+    return int("".join(digits)[::-1], 2)
 
 
 def every_fourth(stop: int) -> int:
@@ -110,8 +134,9 @@ def every_fourth(stop: int) -> int:
 
 
 class TestDenseView:
-    """Sets with at least one member per _SPARSEST positions are written,
-    iterated and built through a byte per position; sparser ones are not."""
+    """_mask builds a set with at least one member per _SPARSEST positions
+    from a byte per position, and a sparser one from a bit buffer; every
+    set is written and iterated through the same byte-per-position view."""
 
     @pytest.mark.parametrize("count", [1, 2, 3, 250, 1000])
     @pytest.mark.parametrize("excess", [-1, 0, 1])
@@ -183,6 +208,7 @@ class TestFinSet:
         assert a.bits == _mask(members) == sum(1 << n for n in members)
         assert list(a) == members
         assert format(a) == "{" + ",".join(map(str, members)) + "}"
+        assert repr(a) == "FinSet.of(" + ", ".join(map(str, members)) + ")"
         assert parse(format(a)) == a
 
     def test_min_max(self):

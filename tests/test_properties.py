@@ -236,11 +236,12 @@ def test_iteration_and_format_round_trip_on_big_sets(a):
 
 @st.composite
 def spread_sets(draw):
-    """Ascending members below 20k bits, one per 1 to 64 positions with
-    the spacing log-uniform, so sets fall on both sides of the density
-    rule of format and parse."""
+    """Ascending members below 20k bits, one per 1 to 2048 positions with
+    the spacing log-uniform, so sets fall on both sides of _mask's density
+    rule, and the sparsest leave empty 1000-position blocks between
+    members for format's block walk to skip."""
     size = draw(st.integers(1, LITERAL_BITS))
-    spacing = 2 ** draw(st.floats(0, 6))
+    spacing = 2 ** draw(st.floats(0, 11))
     rng = random.Random(draw(st.integers(0, 2**32)))
     return sorted(rng.sample(range(size), max(1, int(size / spacing))))
 
@@ -252,6 +253,7 @@ def test_text_iteration_and_mask_across_densities(members):
     a = FinSet(bits)
     assert list(a) == members
     assert format(a) == "{" + ",".join(map(str, members)) + "}"
+    assert repr(a) == "FinSet.of(" + ", ".join(map(str, members)) + ")"
     assert parse(format(a)) == a
     assert FinSet.of(*members).bits == bits
 
