@@ -1,18 +1,17 @@
 """Finite subsets of the naturals stored as unbounded-int bit masks."""
 
 from dataclasses import dataclass
-from itertools import compress, count, islice
-from operator import lt
+from itertools import compress, count
 from typing import Collection, Iterable, Iterator
 
 from .errors import SetLiteralError
 
 # Elements must be below this cap.  A set's integer needs one bit per
 # position up to its largest element, so the cap bounds an input set at
-# 2 MB however its literal is written, and the byte-per-position view
-# that its text and iteration go through at 16 MB.  Results of
-# operations may exceed it; only sets built from element values are
-# checked.
+# 2 MB however its literal is written, and the byte-per-position
+# buffers that build it and that its text and iteration go through at
+# 16 MB.  Results of operations may exceed it; only sets built from
+# element values are checked.
 MAX_ELEMENT = 2**24
 _CAP_DIGITS = len(str(MAX_ELEMENT))
 
@@ -21,16 +20,6 @@ _CAP_DIGITS = len(str(MAX_ELEMENT))
 # strips exactly that whitespace and accepts a run of ASCII digits, so on
 # a body of these characters alone it agrees with the per-token rules.
 _PLAIN = b"0123456789,\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "
-
-# A set with at least one member per _SPARSEST positions is dense.
-# _mask, the one place that asks, builds a dense set's int from a digit
-# buffer of one byte per position, so never more than _SPARSEST bytes
-# per member, and a sparser set's from a bit buffer of an eighth of a
-# byte per position.  The digits are the faster buffer up to about one
-# member per 30 positions, but at one per 8 they raised parse's peak
-# memory by 5%, and on {16777215} the bits take 2–4 ms and 6 MiB where
-# the digits would take 45–60 ms and 18 MiB.
-_SPARSEST = 4
 
 # Text and iteration read a set through _view, one byte per position.
 # A set is written one block of 1000 positions at a time: block q > 0
@@ -47,31 +36,21 @@ def _too_large(element: object) -> SetLiteralError:
                            f"be below MAX_ELEMENT = {MAX_ELEMENT}")
 
 
-def _dense(members: int, top: int) -> bool:
-    """Whether a set of this many members, the largest top, is dense."""
-    return 0 < members and top < _SPARSEST * members
-
-
 def _view(bits: int) -> bytes:
     """Byte n is 1 if n is a member and 0 if not, up to the top member."""
     return bin(bits)[:1:-1].encode().translate(_VIEW)
 
 
 def _mask(elements: Collection[int]) -> int:
-    """The int with bit n set for each n, in one pass over a buffer, so
-    the cost is linear in the elements and the largest one."""
-    top = max(elements, default=-1)
-    if _dense(len(elements), top):
-        # one binary digit per position, read back by int() in C
-        digits = bytearray(b"0") * (top + 1)
-        for n in elements:
-            digits[n] = 49  # ord("1")
-        digits.reverse()
-        return int(digits, 2)
-    buf = bytearray(top // 8 + 1)
+    """The int with bit n set for each n, from one binary digit per
+    position read back by int() in C, so the cost is linear in the
+    elements and the largest one."""
+    # default=0: no elements still leave one "0", as int(b"", 2) raises
+    digits = bytearray(b"0") * (max(elements, default=0) + 1)
     for n in elements:
-        buf[n >> 3] |= 1 << (n & 7)
-    return int.from_bytes(buf, "little")
+        digits[n] = 49  # ord("1")
+    digits.reverse()
+    return int(digits, 2)
 
 
 # a dataclass: a tuple's iter, len, `in` and order would clash with its own
@@ -164,11 +143,11 @@ def parse(text: str) -> FinSet:
     # Fast path.  On a body of _PLAIN characters with no token longer
     # than _CAP_DIGITS, int() accepts exactly the tokens the loop below
     # accepts, at a bounded cost per token even where the int/str digit
-    # limit is lifted.  Sorted elements that strictly ascend to a top
-    # below the cap give the loop's result; sorting finds repeats without
-    # a set, which would cost more memory than the loop's own.  Any other
-    # body falls through.  The plain check deletes every _PLAIN byte in
-    # one pass; isascii() goes first, as encode() refuses a lone surrogate.
+    # limit is lifted.  Elements below the cap whose mask has one bit per
+    # element repeat none, and give the loop's result; the cap is checked
+    # first, so an element past it allocates no buffer.  Any other body
+    # falls through.  The plain check deletes every _PLAIN byte in one
+    # pass; isascii() goes first, as encode() refuses a lone surrogate.
     if (body.isascii() and not body.encode().translate(None, _PLAIN)
             and max(map(len, tokens)) <= _CAP_DIGITS):
         try:
@@ -176,10 +155,10 @@ def parse(text: str) -> FinSet:
         except ValueError:  # an empty or blank token, or a space inside one
             pass
         else:
-            elements.sort()
-            if (elements[-1] < MAX_ELEMENT
-                    and all(map(lt, elements, islice(elements, 1, None)))):
-                return FinSet(_mask(elements))
+            if max(elements) < MAX_ELEMENT:
+                bits = _mask(elements)
+                if bits.bit_count() == len(elements):
+                    return FinSet(bits)
     # The loop checks token by token, so its error names the first
     # offender in listing order.  It also takes the rarer valid
     # spellings: non-ASCII whitespace, and tokens padded past

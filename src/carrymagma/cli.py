@@ -95,13 +95,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=_natural, required=True, metavar="N",
                    help="universe is the power set of [0, N)")
 
-    p = add("search-subgroups", "classify subsets containing {} (JSON lines)")
+    # the two verbs that always print JSON take no --json
+    p = sub.add_parser("search-subgroups",
+                       help="classify subsets containing {} (JSON lines)")
     p.add_argument("--bound", type=_natural, required=True, metavar="N",
                    help="universe is the power set of [0, N)")
     p.add_argument("--max-size", type=_natural, default=None, metavar="M",
                    help="largest candidate size (default: whole universe)")
 
-    p = add("adder-stats", "exhaustive one-round adder statistics")
+    p = sub.add_parser("adder-stats",
+                       help="exhaustive one-round adder statistics")
     p.add_argument("width", type=_natural, metavar="WIDTH",
                    help="operands range over [0, 2**WIDTH)")
 
@@ -115,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(args, plain: str, payload: dict) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(payload))
     else:
         print(plain)

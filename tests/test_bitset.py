@@ -2,6 +2,7 @@
 
 import sys
 import time
+import tracemalloc
 from itertools import starmap, zip_longest
 from operator import eq
 
@@ -9,7 +10,7 @@ import pytest
 
 from carrymagma import (EMPTY, FinSet, SetLiteralError, decode, encode,
                         format, intersect, parse, shift_up, sym_diff)
-from carrymagma.bitset import MAX_ELEMENT, _dense, _mask, _SPARSEST
+from carrymagma.bitset import MAX_ELEMENT, _mask
 
 import oracles
 
@@ -47,8 +48,14 @@ class TestParse:
         assert offender in str(excinfo.value)
 
     def test_duplicate_rejected(self):
-        with pytest.raises(SetLiteralError, match="duplicate"):
-            parse("3,4,3")
+        # the fast path sees a repeat as a mask with fewer bits than
+        # tokens; the loop then names the first repeated token
+        for text, token in [("3,4,3", "3"), ("0,0", "0"),
+                            ("16777215,16777215", "16777215"),
+                            ("5,16777215,5", "5"), ("{3, 1, 3}", "3")]:
+            with pytest.raises(SetLiteralError) as excinfo:
+                parse(text)
+            assert f"duplicate element {token!r}" in str(excinfo.value)
 
     @pytest.mark.parametrize("text", ["{3,4", "3,4}"])
     def test_mismatched_braces(self, text):
@@ -134,17 +141,18 @@ def every_fourth(stop: int) -> int:
 
 
 class TestDenseView:
-    """_mask builds a set with at least one member per _SPARSEST positions
-    from a byte per position, and a sparser one from a bit buffer; every
-    set is written and iterated through the same byte-per-position view."""
+    """The dense view of a set, one byte per position up to its top
+    member: _mask builds every set from such a buffer of digits, and
+    every set is written and iterated through _view."""
 
     @pytest.mark.parametrize("count", [1, 2, 3, 250, 1000])
     @pytest.mark.parametrize("excess", [-1, 0, 1])
     def test_both_sides_of_the_density_rule(self, count, excess):
-        # count * _SPARSEST is top - 1, top or top + 1; only the last is dense
-        top = count * _SPARSEST - excess
+        # count members with the top at count * spacing - excess: from
+        # about half the positions down to one member after a run of zeros
+        spacing = 4
+        top = count * spacing - excess
         members = [*range(count - 1), top]
-        assert _dense(count, top) == (excess == 1)
         bits = sum(1 << n for n in members)
         a = FinSet(bits)
         assert list(a) == oracles.positions(bits) == members
@@ -161,7 +169,6 @@ class TestDenseView:
     def test_block_edges(self, edge):
         # every fourth position, then a run from edge - 3 to edge + 1
         members = [*range(3, edge - 3, 4), *range(edge - 3, edge + 2)]
-        assert _dense(len(members), edge + 1)
         bits = every_fourth(edge - 3) | (1 << edge + 2) - (1 << edge - 3)
         a = FinSet(bits)
         assert list(a) == members
@@ -170,11 +177,10 @@ class TestDenseView:
         assert _mask(members) == bits
 
     def test_block_edge_at_the_cap(self):
-        # the densest set that is still dense with its top at the cap,
-        # checked without a list of its 4,194,304 members
+        # one member per four positions with its top at the cap, checked
+        # without a list of its 4,194,304 members
         members = range(3, MAX_ELEMENT, 4)
         assert members[-1] == MAX_ELEMENT - 1
-        assert _dense(len(members), members[-1])
         bits = every_fourth(MAX_ELEMENT)
         assert _mask(members) == bits
         a = FinSet(bits)
@@ -210,6 +216,19 @@ class TestFinSet:
         assert format(a) == "{" + ",".join(map(str, members)) + "}"
         assert repr(a) == "FinSet.of(" + ", ".join(map(str, members)) + ")"
         assert parse(format(a)) == a
+
+    def test_one_byte_per_position_at_the_cap(self):
+        # one digit per position, 16 MiB, and the 2 MiB int; a str copy
+        # of the digits or a list per position would pass 20 MiB
+        for build, arg in ((parse, "{16777215}"), (FinSet.of, 16777215)):
+            tracemalloc.start()
+            try:
+                a = build(arg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert a.bits == 1 << 16777215
+            assert peak < 20 * 2**20
 
     def test_min_max(self):
         a = FinSet.of(4, 9, 2)

@@ -181,6 +181,17 @@ class TestExitCodes:
         assert code == 1
         assert "12" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("adder-stats", "2", "--json"),
+        ("search-subgroups", "--bound", "1", "--json"),
+    ])
+    def test_json_flag_refused_where_output_is_always_json(self, capsys,
+                                                           argv):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "--json" in err
+
     def test_negative_integer_is_usage_error(self, capsys):
         code, _, _ = invoke(capsys, "decode", "--", "-4")
         assert code == 2

@@ -237,9 +237,10 @@ def test_iteration_and_format_round_trip_on_big_sets(a):
 @st.composite
 def spread_sets(draw):
     """Ascending members below 20k bits, one per 1 to 2048 positions with
-    the spacing log-uniform, so sets fall on both sides of _mask's density
-    rule, and the sparsest leave empty 1000-position blocks between
-    members for format's block walk to skip."""
+    the spacing log-uniform, so _mask's digit buffer and the view range
+    from mostly ones to long runs of zeros, and the sparsest sets leave
+    empty 1000-position blocks between members for format's block walk
+    to skip."""
     size = draw(st.integers(1, LITERAL_BITS))
     spacing = 2 ** draw(st.floats(0, 11))
     rng = random.Random(draw(st.integers(0, 2**32)))
