@@ -82,11 +82,13 @@ def approx_stats(width: int) -> WordStats:
 
     approx_add(a, b) falls short of a + b by 2 * (s AND c), where
     s = a XOR b and c = (a AND b) << 1: a collision at bit i, where the
-    operands differ and both hold a 1 at bit i - 1, loses 2 << i.  So
-    one pass over the bit positions counts the pairs, with the state
-    g = "both operands hold a 1 at the position below": ``exact_pairs``
-    counts the pairs without a collision, and ``max_abs_error`` is the
-    largest collision loss over all pairs reaching each state.
+    operands differ and both hold a 1 at bit i - 1, loses 2 << i.
+    ``exact_pairs`` counts the pairs without one by a recurrence over the
+    bit positions, on g = "both operands hold a 1 at the position below".
+    ``max_abs_error`` is ((4 << w) - (4 << (w & 1))) // 3, the loss at
+    bits w - 1, w - 3, ... down to 1, which the pair (2**w - 1, bits
+    w - 2, w - 4, ...) attains: bit 0 never collides, and a collision at
+    bit i leaves the operands differing at i, so none follows at i + 1.
 
     ``iterations_max``, the most carry rounds ``iterated_add`` needs on
     any pair, is ``width`` itself.  A carry chain starts at a generate
@@ -100,17 +102,10 @@ def approx_stats(width: int) -> WordStats:
     if not 0 <= width <= MAX_STATS_WIDTH:
         raise RangeError(f"width {width} out of range: statistics are capped "
                          f"at width {MAX_STATS_WIDTH}")
-    if width == 0:
-        return WordStats(0, 1, 1, 0, 0)
-    # exact[g] counts the collision-free pairs in state g and worst[g]
-    # is the largest loss among all pairs in state g.  After bit 0,
-    # whose pairs (0, 0), (0, 1) and (1, 0) give g = 0 and (1, 1) gives
-    # g = 1, nothing has collided yet.
-    exact, worst = (3, 1), (0, 0)
-    for i in range(1, width):
-        # a differing pair after g = 1 collides and loses 2 << i
+    # exact[g]: the collision-free pairs in state g; width 0 has one, in g = 0
+    exact = (1, 0)
+    for _ in range(width):
         exact = (3 * exact[0] + exact[1], exact[0] + exact[1])
-        worst = (max(worst[0], worst[1] + (2 << i)), max(worst))
     return WordStats(width=width, total_pairs=1 << (2 * width),
-                     exact_pairs=sum(exact), max_abs_error=max(worst),
-                     iterations_max=width)
+                     exact_pairs=sum(exact), iterations_max=width,
+                     max_abs_error=((4 << width) - (4 << (width & 1))) // 3)

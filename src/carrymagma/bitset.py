@@ -20,6 +20,7 @@ _CAP_DIGITS = len(str(MAX_ELEMENT))
 # strips exactly that whitespace and accepts a run of ASCII digits, so on
 # a body of these characters alone it agrees with the per-token rules.
 _PLAIN = b"0123456789,\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "
+_CLASS = bytes(c if c == 44 else int(c not in _PLAIN) for c in range(256))
 
 # Text and iteration read a set through _view, one byte per position.
 # A set is written one block of 1000 positions at a time: block q > 0
@@ -146,10 +147,13 @@ def parse(text: str) -> FinSet:
     # limit is lifted.  Elements below the cap whose mask has one bit per
     # element repeat none, and give the loop's result; the cap is checked
     # first, so an element past it allocates no buffer.  Any other body
-    # falls through.  The plain check deletes every _PLAIN byte in one
-    # pass; isascii() goes first, as encode() refuses a lone surrogate.
-    if (body.isascii() and not body.encode().translate(None, _PLAIN)
-            and max(map(len, tokens)) <= _CAP_DIGITS):
+    # falls through.  _CLASS keeps the comma and reads any other plain
+    # byte as 0, the rest as 1 (encode makes "?" of a non-ASCII character
+    # or a lone surrogate), so a token too long is _CAP_DIGITS + 1 zeros.
+    view = body.encode("ascii", "replace").translate(_CLASS)
+    plain = 1 not in view and bytes(_CAP_DIGITS + 1) not in view
+    del view  # as long as the body: free it before the buffers below
+    if plain:
         try:
             elements = list(map(int, tokens))
         except ValueError:  # an empty or blank token, or a space inside one

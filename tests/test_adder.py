@@ -117,6 +117,14 @@ class TestApproxStats:
         assert approx_stats(12) == WordStats(12, 16777216, 3028544, 5460, 12)
 
     @pytest.mark.parametrize("width", range(1, 13))
+    def test_max_abs_error_attained(self, width):
+        # all ones against bits w - 2, w - 4, ...: collisions at
+        # w - 1, w - 3, ..., the largest loss the closed form gives
+        a = (1 << width) - 1
+        b = sum(1 << i for i in range(width - 2, -1, -2))
+        assert a + b - approx_add(a, b) == approx_stats(width).max_abs_error
+
+    @pytest.mark.parametrize("width", range(1, 13))
     def test_iterations_max_reached(self, width):
         assert iterated_add((1 << width) - 1, 1).rounds == width
         assert approx_stats(width).iterations_max == width

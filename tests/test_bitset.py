@@ -41,6 +41,8 @@ class TestParse:
         ("3,,5", "''"),
         ("{3, 4.5}", "'4.5'"),
         ("oops", "'oops'"),
+        # encode("ascii", "replace") reads a lone surrogate as "?"
+        ("{1,\ud8005}", "'\\ud8005'"),
     ])
     def test_malformed_token_named(self, text, offender):
         with pytest.raises(SetLiteralError) as excinfo:
