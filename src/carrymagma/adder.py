@@ -9,9 +9,9 @@ sit at the set's elements, and one carry round on sets is exactly
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import RangeError
+from .errors import MAX_BITS, MAX_DIGITS, RangeError
 
-MAX_STATS_WIDTH = 12
+MAX_STATS_WIDTH = MAX_BITS // 2  # 4**width pairs print within MAX_DIGITS
 
 
 def approx_add(a: int, b: int) -> int:
@@ -97,11 +97,12 @@ def approx_stats(width: int) -> WordStats:
     Those lie below ``width``, so the chain crosses at most
     width - 1 - j of them and one more round lands it: at most
     ``width`` rounds.  The pair (2**width - 1, 1) needs exactly
-    ``width``.  The width is capped at 12.
+    ``width``.  4**width must print, so width <= MAX_STATS_WIDTH.
     """
     if not 0 <= width <= MAX_STATS_WIDTH:
-        raise RangeError(f"width {width} out of range: statistics are capped "
-                         f"at width {MAX_STATS_WIDTH}")
+        raise RangeError(f"width {width} out of range: 4**width pairs must "
+                         f"print within {MAX_DIGITS} digits, so width <= "
+                         f"{MAX_STATS_WIDTH}")
     # exact[g]: the collision-free pairs in state g; width 0 has one, in g = 0
     exact = (1, 0)
     for _ in range(width):

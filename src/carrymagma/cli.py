@@ -15,17 +15,12 @@ from dataclasses import asdict
 
 from . import adder, explorer
 from .bitset import decode, encode, format, parse
-from .errors import RangeError, SetLiteralError
+from .errors import MAX_DIGITS, RangeError, SetLiteralError
 from .magma import invert, oplus, solve, stretch
 
 EXIT_OK = 0
 EXIT_RANGE = 1
 EXIT_USAGE = 2
-
-# Python's default int/str digit limit, fixed here so that
-# PYTHONINTMAXSTRDIGITS cannot open a quadratic conversion; main() also
-# pins the interpreter's limit to it, so a lower setting refuses nothing
-MAX_DIGITS = 4300
 
 
 def _natural(text: str) -> int:

@@ -14,10 +14,10 @@ from math import comb
 from typing import NamedTuple, Optional
 
 from .bitset import FinSet, format
-from .errors import RangeError
+from .errors import MAX_BITS, MAX_DIGITS, RangeError
 from .magma import oplus
 
-MAX_ASSOC_BOUND = 6
+MAX_ASSOC_BOUND = MAX_BITS // 3  # 8**bound triples print within MAX_DIGITS
 MAX_SUBSET_BOUND = 5
 MAX_SUBSET_CANDIDATES = 2**16
 MAX_ORBIT_BITS = 2**27
@@ -94,15 +94,15 @@ def scan_associativity(bound: int) -> AssocScan:
     """Count the triples of subsets of [0, bound) that are not associative.
 
     Returns total and failing triple counts plus the first failing
-    triple in lexicographic encoding order, in O(bound) steps; the cap
-    keeps the interface stable.  A triple holding {} is associative, {}
-    being neutral, and ({0}, {0}, {0}) is by commutativity, so the first
+    triple in lexicographic encoding order, in O(bound) steps, up to
+    MAX_ASSOC_BOUND.  A triple holding {} is associative, {} being
+    neutral, and ({0}, {0}, {0}) is by commutativity, so the first
     witness is ({0}, {0}, {1}) once the universe holds {1}, at bound 2.
     """
     if not 0 <= bound <= MAX_ASSOC_BOUND:
-        raise RangeError(f"bound {bound} out of range: associativity scans are "
-                         f"capped at bound {MAX_ASSOC_BOUND} "
-                         f"(2**{3 * MAX_ASSOC_BOUND} triples)")
+        raise RangeError(f"bound {bound} out of range: 8**bound triples must "
+                         f"print within {MAX_DIGITS} digits, so bound <= "
+                         f"{MAX_ASSOC_BOUND}")
     total = 8 ** bound
     witness = (assoc_witness(FinSet.of(0), FinSet.of(0), FinSet.of(1))
                if bound >= 2 else None)

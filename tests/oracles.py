@@ -3,9 +3,10 @@
 These are the straightforward forms of the library's operations, kept
 as oracles: the paper's stretch-parity inverse construction, the
 one-bit-per-step solver sweep, two readings of stretch, the
-triple-by-triple associativity scan and the bit-position automaton
-that counts the same triples.  Nothing here imports carrymagma,
-so a test never checks an operation against itself.
+triple-by-triple associativity scan, the bit-position automaton that
+counts the same triples and the one that counts the pairs one carry
+round adds exactly.  Nothing here imports carrymagma, so a test never
+checks an operation against itself.
 """
 
 from math import comb
@@ -133,6 +134,30 @@ def associative_by_automaton(max_bound: int) -> list[int]:
                 window = state | bits << 6
                 if agrees[window]:
                     step[window >> 3] += count
+        counts = step
+    return out
+
+
+def exact_pairs_by_automaton(max_width: int) -> list[int]:
+    """Pairs of w-bit words that one carry round adds exactly, for every
+    w up to max_width, by a 4-state walk over the bit positions.
+
+    The state is the two operands' bits at the position below i.  A
+    pair collides at bit i, which a second round would have to repair,
+    iff both operands hold a 1 at i-1 and differ at i.  No collision
+    happens at bit w, where both operands are 0.
+    """
+    # counts[state]: collision-free pairs so far whose bits at i-1 are
+    # a's (low) and b's (high) bit of state
+    counts = [1, 0, 0, 0]
+    out = []
+    for _ in range(max_width + 1):
+        out.append(sum(counts))
+        step = [0] * 4
+        for state, count in enumerate(counts):
+            for bits in range(4):
+                if not (state == 3 and bits in (1, 2)):
+                    step[bits] += count
         counts = step
     return out
 

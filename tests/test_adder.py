@@ -4,6 +4,13 @@ import pytest
 
 from carrymagma import (RangeError, WordStats, approx_add, approx_stats,
                         exactness, iterated_add, knuth_sum)
+from carrymagma.adder import MAX_STATS_WIDTH
+from carrymagma.errors import MAX_DIGITS
+
+import oracles
+
+# large widths, up to the cap
+LARGE_WIDTHS = [64, 1000, MAX_STATS_WIDTH]
 
 
 def stats_oracle(width: int) -> WordStats:
@@ -110,13 +117,26 @@ class TestApproxStats:
 
     @pytest.mark.parametrize("width", range(9))
     def test_matches_definitional_oracle(self, width):
-        assert approx_stats(width) == stats_oracle(width)
+        want = stats_oracle(width)
+        assert approx_stats(width) == want
+        assert oracles.exact_pairs_by_automaton(width)[width] \
+            == want.exact_pairs
 
     def test_width_twelve_pinned(self):
         # the figures the earlier full-grid enumeration gave
         assert approx_stats(12) == WordStats(12, 16777216, 3028544, 5460, 12)
 
-    @pytest.mark.parametrize("width", range(1, 13))
+    def test_exact_pairs_recurrence_matches_automaton(self):
+        # The automaton's count at width w is u M^w f for its 4x4
+        # transfer matrix M, so by Cayley-Hamilton it satisfies a linear
+        # recurrence of order 4; the library's satisfies one of order 2.
+        # Their difference satisfies the product recurrence, of order 6,
+        # so 6 equal consecutive terms make every term equal.  Widths
+        # 0-70 give 71.
+        assert [approx_stats(w).exact_pairs for w in range(71)] \
+            == oracles.exact_pairs_by_automaton(70)
+
+    @pytest.mark.parametrize("width", [*range(1, 13), *LARGE_WIDTHS])
     def test_max_abs_error_attained(self, width):
         # all ones against bits w - 2, w - 4, ...: collisions at
         # w - 1, w - 3, ..., the largest loss the closed form gives
@@ -124,7 +144,7 @@ class TestApproxStats:
         b = sum(1 << i for i in range(width - 2, -1, -2))
         assert a + b - approx_add(a, b) == approx_stats(width).max_abs_error
 
-    @pytest.mark.parametrize("width", range(1, 13))
+    @pytest.mark.parametrize("width", [*range(1, 13), *LARGE_WIDTHS])
     def test_iterations_max_reached(self, width):
         assert iterated_add((1 << width) - 1, 1).rounds == width
         assert approx_stats(width).iterations_max == width
@@ -135,7 +155,17 @@ class TestApproxStats:
         assert stats.exact_pairs <= stats.total_pairs
         assert stats.iterations_max <= width + 1
 
-    @pytest.mark.parametrize("width", [13, 20, -1])
+    def test_cap_is_the_widest_whose_pairs_print(self):
+        # compared with 10**MAX_DIGITS: str() of a longer int raises
+        assert MAX_STATS_WIDTH == 7142
+        assert len(str(4 ** MAX_STATS_WIDTH)) == MAX_DIGITS
+        assert 4 ** (MAX_STATS_WIDTH + 1) >= 10 ** MAX_DIGITS
+        assert approx_stats(MAX_STATS_WIDTH).total_pairs \
+            == 4 ** MAX_STATS_WIDTH
+
+    # a 4300-digit width is refused before 4**width is built
+    @pytest.mark.parametrize("width", [
+        MAX_STATS_WIDTH + 1, pytest.param(10**4299, id="10**4299"), -1])
     def test_out_of_range_width(self, width):
-        with pytest.raises(RangeError):
+        with pytest.raises(RangeError, match="4300 digits, so width <= 7142"):
             approx_stats(width)

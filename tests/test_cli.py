@@ -173,13 +173,14 @@ class TestExitCodes:
         assert code == 2
 
     def test_range_violation_names_limit(self, capsys):
-        code, out, err = invoke(capsys, "scan-assoc", "--bound", "7")
-        assert code == 1
-        assert out == ""
-        assert "6" in err
-        code, _, err = invoke(capsys, "adder-stats", "13")
-        assert code == 1
-        assert "12" in err
+        code, out, err = invoke(capsys, "scan-assoc", "--bound", "4762")
+        assert (code, out) == (1, "")
+        assert "8**bound triples must print within 4300 digits, so " \
+               "bound <= 4761" in err
+        code, out, err = invoke(capsys, "adder-stats", "7143")
+        assert (code, out) == (1, "")
+        assert "4**width pairs must print within 4300 digits, so " \
+               "width <= 7142" in err
 
     @pytest.mark.parametrize("argv", [
         ("adder-stats", "2", "--json"),
@@ -301,6 +302,32 @@ class TestExitCodes:
             env=env, capture_output=True, text=True, timeout=60)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == format(decode(10**700 - 1)) + "\n"
+
+    def test_probes_answer_up_to_the_digit_limit(self):
+        # main() pins the interpreter's limit, so a 4300-digit total
+        # prints under a lower setting too
+        def cli(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "carrymagma.cli", *argv],
+                env=cli_env(PYTHONINTMAXSTRDIGITS="640"), capture_output=True,
+                text=True, timeout=60)
+
+        proc = cli("scan-assoc", "--bound", "4761", "--json")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        total = json.loads(proc.stdout)["total_triples"]
+        assert (total, len(str(total))) == (8**4761, 4300)
+        proc = cli("adder-stats", "7142")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        total = json.loads(proc.stdout)["total_pairs"]
+        assert (total, len(str(total))) == (4**7142, 4300)
+        proc = cli("scan-assoc", "--bound", "4762")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert "8**bound triples" in proc.stderr
+        assert "4300 digits, so bound <= 4761" in proc.stderr
+        proc = cli("adder-stats", "7143")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert "4**width pairs" in proc.stderr
+        assert "4300 digits, so width <= 7142" in proc.stderr
 
     def test_search_bound_checked_before_allocation(self, capsys):
         # 1 << 99999999999 alone would be a 12.5 GB integer

@@ -8,11 +8,12 @@ from carrymagma import (EMPTY, FinSet, RangeError, assoc_witness, format,
                         invert, oplus, orbit, scan_associativity,
                         search_closed_subsets)
 from carrymagma import explorer
-from carrymagma.explorer import (MAX_ORBIT_BITS, MAX_SUBSET_BOUND,
-                                 MAX_SUBSET_CANDIDATES, ClosureFailure,
-                                 SubsetReport, failure_as_dict,
-                                 report_as_dict, search_summary,
-                                 witness_as_dict)
+from carrymagma.errors import MAX_DIGITS
+from carrymagma.explorer import (MAX_ASSOC_BOUND, MAX_ORBIT_BITS,
+                                 MAX_SUBSET_BOUND, MAX_SUBSET_CANDIDATES,
+                                 ClosureFailure, SubsetReport,
+                                 failure_as_dict, report_as_dict,
+                                 search_summary, witness_as_dict)
 
 import oracles
 
@@ -109,9 +110,19 @@ class TestScanAssociativity:
         assert oracles.associative_by_automaton(bound)[bound] \
             == total - failing
 
-    @pytest.mark.parametrize("bound", [7, -1])
+    def test_cap_is_the_largest_bound_whose_triples_print(self):
+        # compared with 10**MAX_DIGITS: str() of a longer int raises
+        assert MAX_ASSOC_BOUND == 4761
+        assert len(str(8 ** MAX_ASSOC_BOUND)) == MAX_DIGITS
+        assert 8 ** (MAX_ASSOC_BOUND + 1) >= 10 ** MAX_DIGITS
+        scan = scan_associativity(MAX_ASSOC_BOUND)
+        assert scan.total_triples == 8 ** MAX_ASSOC_BOUND
+        assert witness_as_dict(scan.first_witness) == {
+            "a": "{0}", "b": "{0}", "c": "{1}", "left": "{2}", "right": "{}"}
+
+    @pytest.mark.parametrize("bound", [MAX_ASSOC_BOUND + 1, -1])
     def test_out_of_range_bound(self, bound):
-        with pytest.raises(RangeError):
+        with pytest.raises(RangeError, match="4300 digits, so bound <= 4761"):
             scan_associativity(bound)
 
 
