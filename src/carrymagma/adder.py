@@ -9,7 +9,7 @@ sit at the set's elements, and one carry round on sets is exactly
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import MAX_BITS, MAX_DIGITS, RangeError
+from .errors import MAX_BITS, MAX_DIGITS, RangeError, shown
 
 MAX_STATS_WIDTH = MAX_BITS // 2  # 4**width pairs print within MAX_DIGITS
 
@@ -100,9 +100,9 @@ def approx_stats(width: int) -> WordStats:
     ``width``.  4**width must print, so width <= MAX_STATS_WIDTH.
     """
     if not 0 <= width <= MAX_STATS_WIDTH:
-        raise RangeError(f"width {width} out of range: 4**width pairs must "
-                         f"print within {MAX_DIGITS} digits, so width <= "
-                         f"{MAX_STATS_WIDTH}")
+        raise RangeError(f"width {shown(width)} out of range: 4**width "
+                         f"pairs must print within {MAX_DIGITS} digits, so "
+                         f"width <= {MAX_STATS_WIDTH}")
     # exact[g]: the collision-free pairs in state g; width 0 has one, in g = 0
     exact = (1, 0)
     for _ in range(width):

@@ -4,15 +4,12 @@ from dataclasses import dataclass
 from itertools import compress, count
 from typing import Collection, Iterable, Iterator
 
-from .errors import SetLiteralError
+from .errors import MAX_BYTES, SetLiteralError, shown
 
-# Elements must be below this cap.  A set's integer needs one bit per
-# position up to its largest element, so the cap bounds an input set at
-# 2 MB however its literal is written, and the byte-per-position
-# buffers that build it and that its text and iteration go through at
-# 16 MB.  Results of operations may exceed it; only sets built from
-# element values are checked.
-MAX_ELEMENT = 2**24
+# Elements must be below this cap: one byte per position in the buffers
+# that build a set and that its text and iteration go through (see
+# errors.py).  Only sets built from element values are checked.
+MAX_ELEMENT = MAX_BYTES
 _CAP_DIGITS = len(str(MAX_ELEMENT))
 
 # Every character of a plain literal body: the ASCII digits, the comma,
@@ -32,7 +29,7 @@ _LOW = tuple(map(str, range(_BLOCK)))
 _PADDED = tuple(s.zfill(3) for s in _LOW)
 
 
-def _too_large(element: object) -> SetLiteralError:
+def _too_large(element: str) -> SetLiteralError:
     return SetLiteralError(f"element {element} is too large: elements must "
                            f"be below MAX_ELEMENT = {MAX_ELEMENT}")
 
@@ -80,7 +77,7 @@ class FinSet:
             if n < 0:
                 raise ValueError(f"element must be a natural number, got {n}")
             if n >= MAX_ELEMENT:
-                raise _too_large(n)
+                raise _too_large(shown(n))
         return cls(_mask(elements))
 
     @classmethod

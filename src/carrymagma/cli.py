@@ -8,14 +8,13 @@ error or stdout closed early, 2 usage or parse error.
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import asdict
 
 from . import adder, explorer
 from .bitset import decode, encode, format, parse
-from .errors import MAX_DIGITS, RangeError, SetLiteralError
+from .errors import DIGIT_LIMIT, MAX_DIGITS, RangeError, SetLiteralError, shown
 from .magma import invert, oplus, solve, stretch
 
 EXIT_OK = 0
@@ -35,17 +34,6 @@ def _natural(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"{text!r} is negative")
     return value
-
-
-def _digits(value: int) -> int:
-    """Decimal digits of a positive int, without converting it to text."""
-    # log10 errs by under 1e-8 below 2**(2**25), so only a value next to
-    # a power of ten needs the exact comparison
-    log = math.log10(value)
-    k = round(log)
-    if abs(log - k) < 1e-6:
-        return k + 1 if value >= 10 ** k else k
-    return math.floor(log) + 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -172,9 +160,9 @@ def _run_verb(args) -> int:
         print(json.dumps(asdict(stats)))
     elif verb == "encode":
         value = encode(parse(args.a))
-        if value >= 10 ** MAX_DIGITS:
-            raise RangeError(f"the integer has {_digits(value)} digits > "
-                             f"limit {MAX_DIGITS}")
+        if value >= DIGIT_LIMIT:
+            raise RangeError(f"the integer {shown(value)} does not print "
+                             f"within {MAX_DIGITS} digits")
         _emit_result(args, value)
     elif verb == "decode":
         _emit_result(args, format(decode(args.m)))

@@ -14,14 +14,15 @@ from math import comb
 from typing import NamedTuple, Optional
 
 from .bitset import FinSet, format
-from .errors import MAX_BITS, MAX_DIGITS, RangeError
+from .errors import (MAX_BITS, MAX_BYTES, MAX_DIGITS, RECORD_BYTES,
+                     RangeError, shown)
 from .magma import oplus
 
 MAX_ASSOC_BOUND = MAX_BITS // 3  # 8**bound triples print within MAX_DIGITS
 MAX_SUBSET_BOUND = 5
-MAX_SUBSET_CANDIDATES = 2**16
-MAX_ORBIT_BITS = 2**27
-_MIN_ITERATE_BITS = 2048  # a small iterate's objects: 154-228 bytes
+MAX_SUBSET_CANDIDATES = MAX_BYTES // RECORD_BYTES
+MAX_ORBIT_BITS = 8 * MAX_BYTES
+_MIN_ITERATE_BITS = 8 * RECORD_BYTES
 
 
 class Witness(NamedTuple):
@@ -100,9 +101,9 @@ def scan_associativity(bound: int) -> AssocScan:
     witness is ({0}, {0}, {1}) once the universe holds {1}, at bound 2.
     """
     if not 0 <= bound <= MAX_ASSOC_BOUND:
-        raise RangeError(f"bound {bound} out of range: 8**bound triples must "
-                         f"print within {MAX_DIGITS} digits, so bound <= "
-                         f"{MAX_ASSOC_BOUND}")
+        raise RangeError(f"bound {shown(bound)} out of range: 8**bound "
+                         f"triples must print within {MAX_DIGITS} digits, so "
+                         f"bound <= {MAX_ASSOC_BOUND}")
     total = 8 ** bound
     witness = (assoc_witness(FinSet.of(0), FinSet.of(0), FinSet.of(1))
                if bound >= 2 else None)
@@ -143,13 +144,13 @@ def search_closed_subsets(bound: int,
     universe set, and one ClosureFailure per application, in one table.
     """
     if not 0 <= bound <= MAX_SUBSET_BOUND:
-        raise RangeError(f"bound {bound} out of range: the subset search is "
-                         f"capped at bound {MAX_SUBSET_BOUND}")
+        raise RangeError(f"bound {shown(bound)} out of range: the subset "
+                         f"search is capped at bound {MAX_SUBSET_BOUND}")
     n = 1 << bound
     max_size = n if max_size is None else max_size
     if not 0 <= max_size <= n:
-        raise RangeError(f"max_size {max_size} out of range: a universe of "
-                         f"{n} sets admits at most {n} members")
+        raise RangeError(f"max_size {shown(max_size)} out of range: a "
+                         f"universe of {n} sets admits at most {n} members")
     count = sum(comb(n - 1, k - 1) for k in range(1, max_size + 1))
     if count > MAX_SUBSET_CANDIDATES:
         raise RangeError(f"{count} candidates > limit "
@@ -190,8 +191,8 @@ def orbit(a: FinSet, k: int) -> list[FinSet]:
     literal_bytes = 2 * a.bits.bit_count() * (len(str(m)) + 1) + 2
     cost = k * max(m + 1, 8 * literal_bytes, _MIN_ITERATE_BITS)
     if cost > MAX_ORBIT_BITS:
-        raise RangeError(f"{k} iterations cost {cost} bits > limit "
-                         f"{MAX_ORBIT_BITS}: ask for fewer iterations")
+        raise RangeError(f"{shown(k)} iterations cost {shown(cost)} bits > "
+                         f"limit {MAX_ORBIT_BITS}: ask for fewer iterations")
     out = []
     current = a
     for _ in range(k):

@@ -266,14 +266,13 @@ class TestExitCodes:
         assert (code, out, err) == (0, "9" * 4300 + "\n", "")
         code, out, err = invoke(capsys, "encode", format(decode(10**4300)))
         assert (code, out) == (1, "")
-        assert "4301 digits > limit 4300" in err
-        # log10 of 10**4301 - 1 rounds to 4301; the count must not
+        assert "<14285-bit integer> does not print within 4300 digits" in err
         code, _, err = invoke(capsys, "encode", format(decode(10**4301 - 1)))
         assert code == 1
-        assert "4301 digits > limit 4300" in err
+        assert "<14288-bit integer> does not print within 4300 digits" in err
         code, out, err = invoke(capsys, "encode", "{20000}", "--json")
         assert (code, out) == (1, "")
-        assert "6021 digits > limit 4300" in err
+        assert "<20001-bit integer> does not print within 4300 digits" in err
 
     def test_encode_limit_ignores_python_setting(self):
         # with the interpreter's own limit lifted, str() of 2**16777215
@@ -285,7 +284,23 @@ class TestExitCodes:
             text=True, timeout=60)
         assert time.perf_counter() - start < 1
         assert (proc.returncode, proc.stdout) == (1, "")
-        assert "5050445 digits > limit 4300" in proc.stderr
+        assert "<16777216-bit integer> does not print within 4300 digits" \
+            in proc.stderr
+
+    @pytest.mark.parametrize("nines", [4297, 4300])
+    def test_orbit_cost_past_the_digit_limit_is_refused(self, nines):
+        # k * 2048 bits has more than 4300 digits, so the refusal names
+        # the cost by its bit length instead of failing to print it
+        proc = subprocess.run(
+            [sys.executable, "-m", "carrymagma.cli", "orbit", "{0}",
+             "--iterations", "9" * nines],
+            env=cli_env(), capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("carrymagma orbit: " + "9" * nines +
+                                      " iterations cost <")
+        assert proc.stderr.endswith("-bit integer> bits > limit 134217728: "
+                                    "ask for fewer iterations\n")
+        assert proc.stderr.count("\n") == 1
 
     def test_console_script_lifts_a_lower_python_setting(self):
         # main() pins the interpreter's limit at 4300 digits, so a lower
