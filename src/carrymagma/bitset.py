@@ -1,21 +1,23 @@
 """Finite subsets of the naturals stored as unbounded-int bit masks."""
 
+import json
 from dataclasses import dataclass
 from itertools import compress, count
 from typing import Collection, Iterable, Iterator
 
-from .errors import MAX_BYTES, SetLiteralError, shown
+from .errors import MAX_BYTES, RangeError, SetLiteralError, shown
 
 # Elements must be below this cap: one byte per position in the buffers
 # that build a set and that its text and iteration go through (see
 # errors.py).  Only sets built from element values are checked.
 MAX_ELEMENT = MAX_BYTES
 _CAP_DIGITS = len(str(MAX_ELEMENT))
+_SHOWN_DIGITS = 32  # a longer token is named by its digit count, as by shown
 
 # Every character of a plain literal body: the ASCII digits, the comma,
-# and the ten ASCII characters for which str.isspace() is true.  int()
-# strips exactly that whitespace and accepts a run of ASCII digits, so on
-# a body of these characters alone it agrees with the per-token rules.
+# and the ten ASCII characters for which str.isspace() is true.  The JSON
+# scanner accepts only JSON's four whitespace characters and no leading
+# zeros; every other plain body takes the per-token loop.
 _PLAIN = b"0123456789,\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "
 _CLASS = bytes(c if c == 44 else int(c not in _PLAIN) for c in range(256))
 
@@ -30,6 +32,8 @@ _PADDED = tuple(s.zfill(3) for s in _LOW)
 
 
 def _too_large(element: str) -> SetLiteralError:
+    if len(element) > _SHOWN_DIGITS:
+        element = f"<{len(element)}-digit number>"
     return SetLiteralError(f"element {element} is too large: elements must "
                            f"be below MAX_ELEMENT = {MAX_ELEMENT}")
 
@@ -137,23 +141,22 @@ def parse(text: str) -> FinSet:
     body = body.strip()
     if not body:
         return EMPTY
-    tokens = body.split(",")
     # Fast path.  On a body of _PLAIN characters with no token longer
-    # than _CAP_DIGITS, int() accepts exactly the tokens the loop below
-    # accepts, at a bounded cost per token even where the int/str digit
-    # limit is lifted.  Elements below the cap whose mask has one bit per
-    # element repeat none, and give the loop's result; the cap is checked
-    # first, so an element past it allocates no buffer.  Any other body
-    # falls through.  _CLASS keeps the comma and reads any other plain
-    # byte as 0, the rest as 1 (encode makes "?" of a non-ASCII character
-    # or a lone surrogate), so a token too long is _CAP_DIGITS + 1 zeros.
+    # than _CAP_DIGITS, the C JSON scanner accepts only tokens the loop
+    # below accepts, at a bounded cost per token even where the int/str
+    # digit limit is lifted.  Elements below the cap whose mask has one
+    # bit per element repeat none, and give the loop's result; the cap is
+    # checked first, so an element past it allocates no buffer.  _CLASS
+    # keeps the comma, reads other plain bytes as 0 and the rest (-, e, .,
+    # [, a letter, or the "?" encode makes of non-ASCII) as 1, so a token
+    # too long is _CAP_DIGITS + 1 zeros and no JSON-only spelling passes.
     view = body.encode("ascii", "replace").translate(_CLASS)
     plain = 1 not in view and bytes(_CAP_DIGITS + 1) not in view
     del view  # as long as the body: free it before the buffers below
     if plain:
         try:
-            elements = list(map(int, tokens))
-        except ValueError:  # an empty or blank token, or a space inside one
+            elements = json.loads("[" + body + "]")
+        except ValueError:  # a leading zero, a blank token, other whitespace
             pass
         else:
             if max(elements) < MAX_ELEMENT:
@@ -162,10 +165,10 @@ def parse(text: str) -> FinSet:
                     return FinSet(bits)
     # The loop checks token by token, so its error names the first
     # offender in listing order.  It also takes the rarer valid
-    # spellings: non-ASCII whitespace, and tokens padded past
-    # _CAP_DIGITS characters.
+    # spellings: leading zeros, whitespace outside JSON's four, and
+    # tokens padded past _CAP_DIGITS characters.
     seen = set()
-    for token in tokens:
+    for token in body.split(","):
         token = token.strip()
         if not (token.isascii() and token.isdigit()):
             raise SetLiteralError(f"invalid element {token!r} in set literal: "
@@ -207,9 +210,14 @@ def intersect(a: FinSet, b: FinSet) -> FinSet:
 
 
 def shift_up(a: FinSet, k: int) -> FinSet:
-    """Add k to every element: the set-level left shift by k positions."""
+    """Add k to every element: the set-level left shift by k positions;
+    RangeError if the result would take more than 8 * MAX_BYTES bits."""
     if k < 0:
         raise ValueError(f"shift amount must be non-negative, got {k}")
+    size = a.bits.bit_length() + k
+    if a.bits and size > 8 * MAX_BYTES:
+        raise RangeError(f"shift {shown(k)} makes a set of {shown(size)} "
+                         f"bits > limit {8 * MAX_BYTES}")
     return FinSet(a.bits << k)
 
 

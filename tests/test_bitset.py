@@ -8,9 +8,10 @@ from operator import eq
 
 import pytest
 
-from carrymagma import (EMPTY, FinSet, SetLiteralError, decode, encode,
-                        format, intersect, parse, shift_up, sym_diff)
-from carrymagma.bitset import MAX_ELEMENT, _mask
+from carrymagma import (EMPTY, FinSet, RangeError, SetLiteralError, decode,
+                        encode, format, intersect, parse, shift_up, sym_diff)
+from carrymagma.bitset import _SHOWN_DIGITS, MAX_ELEMENT, _mask
+from carrymagma.errors import MAX_BYTES
 
 import oracles
 
@@ -34,6 +35,11 @@ class TestParse:
         assert parse(" { 3 , 4 ,5 } ") == FinSet.of(3, 4, 5)
         assert parse("") == EMPTY
         assert parse("   ") == EMPTY
+        # plain bodies the JSON scanner refuses take the token loop:
+        # leading zeros, and whitespace other than JSON's four
+        assert parse("{007,00000008}") == FinSet.of(7, 8)
+        assert (parse("\x0b1,\x0c2 ,\x1c3\x1d,\x1e4\x1f")
+                == FinSet.of(1, 2, 3, 4))
 
     @pytest.mark.parametrize("text, offender", [
         ("3,x,5", "'x'"),
@@ -43,6 +49,11 @@ class TestParse:
         ("oops", "'oops'"),
         # encode("ascii", "replace") reads a lone surrogate as "?"
         ("{1,\ud8005}", "'\\ud8005'"),
+        # spellings JSON reads as numbers or values never reach its scanner
+        ("{-0}", "'-0'"),
+        ("{1,1e2}", "'1e2'"),
+        ("null", "'null'"),
+        ("{[1]}", "'[1]'"),
     ])
     def test_malformed_token_named(self, text, offender):
         with pytest.raises(SetLiteralError) as excinfo:
@@ -54,7 +65,8 @@ class TestParse:
         # tokens; the loop then names the first repeated token
         for text, token in [("3,4,3", "3"), ("0,0", "0"),
                             ("16777215,16777215", "16777215"),
-                            ("5,16777215,5", "5"), ("{3, 1, 3}", "3")]:
+                            ("5,16777215,5", "5"), ("{3, 1, 3}", "3"),
+                            ("{07,7}", "7")]:
             with pytest.raises(SetLiteralError) as excinfo:
                 parse(text)
             assert f"duplicate element {token!r}" in str(excinfo.value)
@@ -77,6 +89,32 @@ class TestParse:
     def test_element_beyond_int_digit_limit(self):
         with pytest.raises(SetLiteralError, match="too large"):
             parse("{" + "9" * 5000 + "}")
+
+    def test_long_token_named_by_digit_count(self):
+        assert _SHOWN_DIGITS == 32
+        with pytest.raises(SetLiteralError) as excinfo:
+            parse("{" + "9" * 32 + "}")
+        assert "element " + "9" * 32 + " is too large" in str(excinfo.value)
+        for digits in (33, 100_000):
+            with pytest.raises(SetLiteralError) as excinfo:
+                parse("{1, " + "9" * digits + "}")
+            message = str(excinfo.value)
+            assert message == (f"element <{digits}-digit number> is too "
+                               "large: elements must be below MAX_ELEMENT "
+                               "= 16777216")
+            assert len(message) < 200
+
+    def test_peak_memory_is_a_few_times_the_literal(self):
+        # the scanner builds the elements with no str per token; a list
+        # of one str per token would take the peak to about 16 times
+        literal = "{" + ",".join(map(str, range(2**18))) + "}"
+        tracemalloc.start()
+        try:
+            assert len(parse(literal)) == 2**18
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * len(literal)
 
     def test_long_token_cheap_without_int_digit_limit(self):
         # int() is quadratic in the digits once the limit is lifted, so a
@@ -287,6 +325,16 @@ class TestPrimitiveOps:
         assert shift_up(FinSet.of(0), 3) == FinSet.of(3)
         with pytest.raises(ValueError):
             shift_up(FinSet.of(1), -1)
+
+    def test_shift_up_result_capped_by_the_byte_budget(self):
+        limit = 8 * MAX_BYTES
+        assert shift_up(FinSet.of(5), limit - 6).max_element == limit - 1
+        with pytest.raises(RangeError) as excinfo:
+            shift_up(FinSet.of(5), limit - 5)
+        assert str(excinfo.value) == (f"shift {limit - 5} makes a set of "
+                                      f"{limit + 1} bits > limit {limit}")
+        # the empty set stays empty under any shift
+        assert shift_up(EMPTY, 10**4300) == EMPTY
 
     def test_sym_diff_commutative_associative_small(self):
         universe = [FinSet(bits) for bits in range(1 << 5)]

@@ -35,9 +35,10 @@ PADDINGS = ["", " ", "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f ", "\u3000 "]
 def spellings(draw):
     """Elements below 20k bits in random order, and one token for each.
 
-    A token may be padded from one of PADDINGS or zero-filled past the
-    eight characters of the largest element, each for a drawn share of
-    the tokens; with both shares 0 the literal is plain.
+    A token may be padded from one of PADDINGS or zero-filled to up to
+    12 characters, within or past the eight of the largest element, each
+    for a drawn share of the tokens; with both shares 0 the literal is
+    plain.
     """
     mask = int.from_bytes(draw(st.binary(max_size=LITERAL_BITS // 8)),
                           "little")
@@ -51,7 +52,7 @@ def spellings(draw):
     for n in elements:
         token = str(n)
         if rng.random() < zero_share:
-            token = token.zfill(rng.randint(9, 12))
+            token = token.zfill(rng.randint(len(token) + 1, 12))
         if rng.random() < pad_share:
             token = (rng.choice(padding) + token
                      + rng.choice(padding) * rng.randint(0, 2))
