@@ -43,12 +43,12 @@ def _view(bits: int) -> bytes:
     return bin(bits)[:1:-1].encode().translate(_VIEW)
 
 
-def _mask(elements: Collection[int]) -> int:
-    """The int with bit n set for each n, from one binary digit per
-    position read back by int() in C, so the cost is linear in the
-    elements and the largest one."""
-    # default=0: no elements still leave one "0", as int(b"", 2) raises
-    digits = bytearray(b"0") * (max(elements, default=0) + 1)
+def _mask(elements: Collection[int], top: int) -> int:
+    """The int with bit n set for each n, one binary digit per position
+    read back by int() in C, at a cost linear in the elements and top.
+    The caller passes top: the largest element, checked against
+    MAX_ELEMENT, or 0 for none (one "0", as int(b"", 2) raises)."""
+    digits = bytearray(b"0") * (top + 1)
     for n in elements:
         digits[n] = 49  # ord("1")
     digits.reverse()
@@ -82,7 +82,7 @@ class FinSet:
                 raise ValueError(f"element must be a natural number, got {n}")
             if n >= MAX_ELEMENT:
                 raise _too_large(shown(n))
-        return cls(_mask(elements))
+        return cls(_mask(elements, max(elements, default=0)))
 
     @classmethod
     def from_iterable(cls, elements: Iterable[int]) -> "FinSet":
@@ -159,8 +159,8 @@ def parse(text: str) -> FinSet:
         except ValueError:  # a leading zero, a blank token, other whitespace
             pass
         else:
-            if max(elements) < MAX_ELEMENT:
-                bits = _mask(elements)
+            if (top := max(elements)) < MAX_ELEMENT:
+                bits = _mask(elements, top)
                 if bits.bit_count() == len(elements):
                     return FinSet(bits)
     # The loop checks token by token, so its error names the first
@@ -181,7 +181,7 @@ def parse(text: str) -> FinSet:
         if n in seen:
             raise SetLiteralError(f"duplicate element {token!r} in set literal")
         seen.add(n)
-    return FinSet(_mask(seen))
+    return FinSet(_mask(seen, max(seen)))
 
 
 def format(a: FinSet) -> str:

@@ -30,6 +30,16 @@ class TestParse:
 
     def test_order_insensitive(self):
         assert parse("5,3,4") == parse("3,4,5")
+        # a large literal top first, on each path that builds a mask:
+        # the JSON scanner, the token loop (one zero-led token) and
+        # FinSet.of
+        descending = range(19999, -1, -3)
+        bits = sum(1 << n for n in descending)
+        tokens = list(map(str, descending))
+        assert parse(",".join(tokens)).bits == bits
+        tokens[-1] = "0" + tokens[-1]
+        assert parse(",".join(tokens)).bits == bits
+        assert FinSet.of(*descending).bits == bits
 
     def test_braces_and_whitespace_optional(self):
         assert parse(" { 3 , 4 ,5 } ") == FinSet.of(3, 4, 5)
@@ -198,7 +208,7 @@ class TestDenseView:
         assert list(a) == oracles.positions(bits) == members
         assert format(a) == literal(members)
         assert parse(format(a)) == a
-        assert _mask(members) == bits
+        assert _mask(members, max(members, default=0)) == bits
 
     def test_every_fourth_is_the_sum_of_its_bits(self):
         for stop in range(40):
@@ -214,7 +224,7 @@ class TestDenseView:
         assert list(a) == members
         assert format(a) == literal(members)
         assert parse(format(a)) == a
-        assert _mask(members) == bits
+        assert _mask(members, max(members, default=0)) == bits
 
     def test_block_edge_at_the_cap(self):
         # one member per four positions with its top at the cap, checked
@@ -222,7 +232,7 @@ class TestDenseView:
         members = range(3, MAX_ELEMENT, 4)
         assert members[-1] == MAX_ELEMENT - 1
         bits = every_fourth(MAX_ELEMENT)
-        assert _mask(members) == bits
+        assert _mask(members, max(members, default=0)) == bits
         a = FinSet(bits)
         assert all(starmap(eq, zip_longest(a, members)))
         # literal(members) a slice of members at a time: each slice's text
@@ -251,7 +261,8 @@ class TestFinSet:
                                          [0, 2**24 - 1]])
     def test_iteration_and_format_at_the_cap(self, members):
         a = FinSet.of(*members)
-        assert a.bits == _mask(members) == sum(1 << n for n in members)
+        assert (a.bits == _mask(members, max(members, default=0))
+                == sum(1 << n for n in members))
         assert list(a) == members
         assert format(a) == "{" + ",".join(map(str, members)) + "}"
         assert repr(a) == "FinSet.of(" + ", ".join(map(str, members)) + ")"
