@@ -4,17 +4,17 @@ A finite set of naturals is a binary number written as the set of its
 1-bit positions.  One round of carry propagation turns pairwise
 addition into the commutative, non-associative operation
 
-    oplus(A, B) = (A sym_diff B) sym_diff ((A intersect B) + 1)
+    oplus(A, B) = (A △ B) △ ((A ∩ B) + 1)
 
-with the empty set as neutral element and an explicit inverse for every
-set.  The package exposes that algebra, the word-level view on plain
-integers, and desk-scale structure probes.
+(△ symmetric difference, ∩ intersection, + 1 adding one to each
+element) with the empty set as neutral element and an explicit inverse
+for every set.  The package exposes that algebra, the word-level view
+on plain integers, and desk-scale structure probes.
 """
 
 from .adder import (AddResult, WordStats, approx_add, approx_stats, exactness,
-                    iterated_add, knuth_sum)
-from .bitset import (EMPTY, FinSet, decode, encode, format, intersect, parse,
-                     shift_up, sym_diff)
+                    iterated_add)
+from .bitset import EMPTY, FinSet, decode, encode, format, parse
 from .errors import RangeError, SetLiteralError
 from .explorer import (AssocScan, ClosureFailure, SubsetReport, Witness,
                        assoc_witness, orbit, scan_associativity,
@@ -39,17 +39,13 @@ __all__ = [
     "encode",
     "exactness",
     "format",
-    "intersect",
     "invert",
     "iterated_add",
-    "knuth_sum",
     "oplus",
     "orbit",
     "parse",
     "scan_associativity",
     "search_closed_subsets",
-    "shift_up",
     "solve",
     "stretch",
-    "sym_diff",
 ]

@@ -17,20 +17,12 @@ MAX_STATS_WIDTH = MAX_BITS // 2  # 4**width pairs print within MAX_DIGITS
 def approx_add(a: int, b: int) -> int:
     """One-round approximation of a + b using only bitwise operations.
 
-    Computes (a XOR b) XOR ((a AND b) << 1): the carry-free partial sum
-    with a single carry round folded in.  Exact whenever no injected
-    carry collides with a partial-sum bit.
+    Computes (a XOR b) XOR ((a AND b) << 1): Knuth's exact decomposition
+    a + b = (a XOR b) + ((a AND b) << 1) with its outer + cut to one
+    carry round.  Exact whenever no injected carry collides with a
+    partial-sum bit.
     """
     return (a ^ b) ^ ((a & b) << 1)
-
-
-def knuth_sum(a: int, b: int) -> int:
-    """Knuth's carry decomposition (a XOR b) + ((a AND b) << 1).
-
-    The outer + is true addition, so this always equals a + b; it is the
-    identity that ``approx_add`` truncates to one round.
-    """
-    return (a ^ b) + ((a & b) << 1)
 
 
 class AddResult(NamedTuple):

@@ -3,9 +3,9 @@
 import json
 from dataclasses import dataclass
 from itertools import compress, count
-from typing import Collection, Iterable, Iterator
+from typing import Collection, Iterator
 
-from .errors import MAX_BYTES, RangeError, SetLiteralError, shown
+from .errors import MAX_BYTES, SetLiteralError, shown
 
 # Elements must be below this cap: one byte per position in the buffers
 # that build a set and that its text and iteration go through (see
@@ -84,10 +84,6 @@ class FinSet:
                 raise _too_large(shown(n))
         return cls(_mask(elements, max(elements, default=0)))
 
-    @classmethod
-    def from_iterable(cls, elements: Iterable[int]) -> "FinSet":
-        return cls.of(*elements)
-
     def __contains__(self, n: int) -> bool:
         return n >= 0 and (self.bits >> n) & 1 == 1
 
@@ -99,18 +95,6 @@ class FinSet:
 
     def __bool__(self) -> bool:
         return self.bits != 0
-
-    @property
-    def min_element(self) -> int:
-        if not self.bits:
-            raise ValueError("empty set has no minimum element")
-        return (self.bits & -self.bits).bit_length() - 1
-
-    @property
-    def max_element(self) -> int:
-        if not self.bits:
-            raise ValueError("empty set has no maximum element")
-        return self.bits.bit_length() - 1
 
     def __str__(self) -> str:
         return format(self)
@@ -197,28 +181,6 @@ def format(a: FinSet) -> str:
         parts.append(prefix + ("," + prefix).join(low))
         start = view.find(1, end)
     return "{" + ",".join(parts) + "}"
-
-
-def sym_diff(a: FinSet, b: FinSet) -> FinSet:
-    """Symmetric difference: elements in exactly one of the two sets."""
-    return FinSet(a.bits ^ b.bits)
-
-
-def intersect(a: FinSet, b: FinSet) -> FinSet:
-    """Intersection of two sets."""
-    return FinSet(a.bits & b.bits)
-
-
-def shift_up(a: FinSet, k: int) -> FinSet:
-    """Add k to every element: the set-level left shift by k positions;
-    RangeError if the result would take more than 8 * MAX_BYTES bits."""
-    if k < 0:
-        raise ValueError(f"shift amount must be non-negative, got {k}")
-    size = a.bits.bit_length() + k
-    if a.bits and size > 8 * MAX_BYTES:
-        raise RangeError(f"shift {shown(k)} makes a set of {shown(size)} "
-                         f"bits > limit {8 * MAX_BYTES}")
-    return FinSet(a.bits << k)
 
 
 def encode(a: FinSet) -> int:

@@ -27,13 +27,10 @@ def _natural(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"{text[:12]!r}... has {len(text)} characters: integers are "
             f"capped at {MAX_DIGITS} digits")
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is negative")
-    return value
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a decimal natural number")
+    return int(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:

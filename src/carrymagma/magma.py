@@ -3,11 +3,12 @@
 The binary operation treats a set as the positions of 1-bits in a binary
 number and performs one round of carry propagation on the sum:
 
-    oplus(A, B) = (A sym_diff B) sym_diff ((A intersect B) + 1)
+    oplus(A, B) = (A △ B) △ ((A ∩ B) + 1)
 
-It is commutative, has the empty set as neutral element, and every
-equation oplus(A, X) = B has exactly one finite solution, so every set
-has an inverse: the solution for B = {}.  It is not associative:
+with △ symmetric difference and ∩ intersection.  It is commutative,
+has the empty set as neutral element, and every equation
+oplus(A, X) = B has exactly one finite solution, so every set has an
+inverse: the solution for B = {}.  It is not associative:
 ({0} oplus {0}) oplus {1} gives {2} while {0} oplus ({0} oplus {1})
 gives the empty set.  One solver serves both solve and invert; it is
 the carry-lookahead (Kogge-Stone parallel-prefix) form of the carry

@@ -1,12 +1,13 @@
 """Reference computations for the magma, on plain ints.
 
 These are the straightforward forms of the library's operations, kept
-as oracles: the paper's stretch-parity inverse construction, the
-one-bit-per-step solver sweep, two readings of stretch, the
-triple-by-triple associativity scan, the bit-position automaton that
-counts the same triples and the one that counts the pairs one carry
-round adds exactly.  Nothing here imports carrymagma, so a test never
-checks an operation against itself.
+as oracles: the paper's definition of oplus on sets of positions,
+Knuth's carry decomposition, the paper's stretch-parity inverse
+construction, the one-bit-per-step solver sweep, two readings of
+stretch, the triple-by-triple associativity scan, the bit-position
+automaton that counts the same triples and the one that counts the
+pairs one carry round adds exactly.  Nothing here imports carrymagma,
+so a test never checks an operation against itself.
 """
 
 from math import comb
@@ -15,6 +16,21 @@ from math import comb
 def positions(a: int) -> list[int]:
     """Ascending member positions, one shift-and-test per position."""
     return [n for n in range(a.bit_length()) if a >> n & 1]
+
+
+def oplus_on_sets(a: set[int], b: set[int]) -> set[int]:
+    """The paper's definition on sets of positions:
+    (A △ B) △ ((A ∩ B) + 1)."""
+    return (a ^ b) ^ {n + 1 for n in a & b}
+
+
+def knuth_sum(a: int, b: int) -> int:
+    """Knuth's carry decomposition (a XOR b) + ((a AND b) << 1).
+
+    The outer + is true addition, so this always equals a + b; it is the
+    identity that one carry round truncates.
+    """
+    return (a ^ b) + ((a & b) << 1)
 
 
 def stretch_by_steps(a: int, n: int) -> int:

@@ -59,6 +59,9 @@ class TestSetVerbs:
         assert (code, out) == (0, "5\n")
         code, out, _ = invoke(capsys, "decode", "6")
         assert (code, out) == (0, "{1,2}\n")
+        # a zero-led integer is valid, as a zero-led element is
+        code, out, _ = invoke(capsys, "decode", "05")
+        assert (code, out) == (0, "{0,2}\n")
 
     def test_orbit_lines(self, capsys):
         code, out, _ = invoke(capsys, "orbit", "{0}", "--iterations", "4")
@@ -193,9 +196,14 @@ class TestExitCodes:
         assert out == ""
         assert "--json" in err
 
-    def test_negative_integer_is_usage_error(self, capsys):
-        code, _, _ = invoke(capsys, "decode", "--", "-4")
-        assert code == 2
+    # integer arguments are ASCII decimal digits, as set elements are
+    @pytest.mark.parametrize("text", ["-4", "1_0", "+5", " 5", "\u0663"],
+                             ids=["minus", "underscore", "plus", "space",
+                                  "arabic-indic"])
+    def test_negative_integer_is_usage_error(self, capsys, text):
+        code, out, err = invoke(capsys, "decode", "--", text)
+        assert (code, out) == (2, "")
+        assert f"{text!r} is not a decimal natural number" in err
 
     def test_duplicate_element_is_usage_error(self, capsys):
         code, _, err = invoke(capsys, "invert", "{1,1}")

@@ -6,8 +6,7 @@ from math import comb
 import pytest
 
 from carrymagma import (FinSet, RangeError, SetLiteralError, approx_stats,
-                        orbit, scan_associativity, search_closed_subsets,
-                        shift_up)
+                        orbit, scan_associativity, search_closed_subsets)
 from carrymagma.bitset import MAX_ELEMENT
 from carrymagma.cli import run
 from carrymagma.errors import (DIGIT_LIMIT, MAX_BYTES, MAX_DIGITS,
@@ -52,11 +51,8 @@ class TestShown:
     (lambda: orbit(FinSet.of(0), HUGE // 10),
      f"{HUGE // 10} iterations cost <14292-bit integer> bits > limit "
      "134217728: ask for fewer iterations"),
-    (lambda: shift_up(FinSet.of(0), HUGE),
-     "shift <14285-bit integer> makes a set of <14285-bit integer> bits > "
-     "limit 134217728"),
 ], ids=["stats", "stats-negative", "scan", "search-bound", "search-max-size",
-        "orbit", "shift"])
+        "orbit"])
 def test_unprintable_request_is_refused_by_bit_length(call, message):
     with pytest.raises(RangeError) as excinfo:
         call()

@@ -1,10 +1,41 @@
-"""Every value the library returns is immutable and hashable."""
+"""The public names, and every value the library returns is immutable
+and hashable."""
+
+import re
+from pathlib import Path
 
 import pytest
 
+import carrymagma
 from carrymagma import (FinSet, approx_stats, assoc_witness, iterated_add,
                         scan_associativity, search_closed_subsets)
 from carrymagma.explorer import ClosureFailure, SubsetReport, Witness
+
+PUBLIC = ["AddResult", "AssocScan", "ClosureFailure", "EMPTY", "FinSet",
+          "RangeError", "SetLiteralError", "SubsetReport", "Witness",
+          "WordStats", "approx_add", "approx_stats", "assoc_witness",
+          "decode", "encode", "exactness", "format", "invert",
+          "iterated_add", "oplus", "orbit", "parse", "scan_associativity",
+          "search_closed_subsets", "solve", "stretch"]
+# names kept only in the tests' oracles, not exported
+REMOVED = ["sym_diff", "intersect", "shift_up", "knuth_sum"]
+REMOVED_FROM_FINSET = ["from_iterable", "min_element", "max_element"]
+
+
+def test_public_names_are_the_kept_list_and_readme_lists_them():
+    assert sorted(carrymagma.__all__) == PUBLIC
+    for name in PUBLIC:
+        getattr(carrymagma, name)
+    for name in REMOVED:
+        assert not hasattr(carrymagma, name)
+    for name in REMOVED_FROM_FINSET:
+        assert not hasattr(FinSet, name)
+    readme = Path(__file__).parents[1] / "README.md"
+    library = (readme.read_text(encoding="utf-8")
+               .split("\n## Library\n")[1].split("\n## ")[0])
+    words = set(re.findall(r"\w+", library))
+    assert words >= set(PUBLIC)
+    assert words.isdisjoint(REMOVED + REMOVED_FROM_FINSET)
 
 
 REPORT = search_closed_subsets(2)[1]
